@@ -30,9 +30,11 @@ from .errors import InternalInvariantError, ValidationError
 from .precision import DEFAULT_POLICY, NumericPolicy, mp_sinpi_frac
 from .spectra import check_modulus, ramanujan_bound, window_eigenvalue
 
-## admissible offsets c and their discriminants c' = 25 - 4c
+## admissible offsets c, their discriminants c' = 25 - 4c, and the least
+## band index k at which each offset enters the candidate set
 C_OFFSETS = (-5, -3, -1, 1, 3, 5)
 CPRIMES = {c: 25 - 4 * c for c in C_OFFSETS}
+K_MIN = {c: 19 if c == -5 else 4 for c in C_OFFSETS}
 
 SMALL_WINDOW = frozenset(range(15, 30, 2))
 
@@ -112,7 +114,7 @@ def in_candidate_set(m: int) -> CandidateWitness:
         if s * s != s2:
             continue
         k = (s - 5) // 2
-        if k >= (19 if c == -5 else 4):
+        if k >= K_MIN[c]:
             found.append((c, k))
     if len(found) > 1:
         ## two quadratic representations would need odd squares closer

@@ -25,17 +25,19 @@ from functools import lru_cache
 from math import isqrt
 
 import mpmath as mp
+import numpy as np
 
 from .bounds import (
     CPRIMES,
     C_OFFSETS,
+    K_MIN,
     CandidateWitness,
     in_candidate_set,
     trivial_bound,
     window_excess,
 )
 from .errors import InternalInvariantError, ValidationError
-from .numtheory import Factorization, factorize, is_prime
+from .numtheory import Factorization, factorize, is_prime, isqrt_array
 from .precision import (
     AUTO_EXTENDED_THRESHOLD,
     DEFAULT_POLICY,
@@ -490,15 +492,69 @@ def profile_point(c: int, k: int, x: float) -> ProfilePoint:
 
 ## ------------------------------------------------------------------- census
 
+## the batched scan covers odd 31 <= m < AUTO_EXTENDED_THRESHOLD (the
+## orders below 31 are either tiny or in the small window) in chunks of
+## this many orders, so its arrays stay a few MiB whatever the range
+_SCAN_FROM = 31
+_SCAN_CHUNK = 1 << 16
+
+
+def _scan_chunk(lo: int, hi: int, policy: NumericPolicy) -> list[Verdict]:
+    """classify(m) for odd m in [lo, hi], 31 <= lo, hi < 2**40.
+
+    Orders outside the candidate set whose window margin is at most
+    -escalation_margin get their Verdict from numpy arrays that repeat
+    the scalar arithmetic of trivial_bound, in_candidate_set,
+    window_eigenvalue and ramanujan_bound operation for operation (the
+    reduction of l mod 2m is left out: l < m); every other order goes
+    through classify, which also raises on a non-negative margin outside
+    the candidate set.
+    """
+    m = np.arange(lo, hi + 1, 2, dtype=np.int64)
+    l0 = 2 * ((isqrt_array(4 * m) - 3) // 2) + 1
+    member = np.zeros(m.shape, dtype=bool)
+    for c in C_OFFSETS:
+        s2 = 4 * m + CPRIMES[c]
+        s = isqrt_array(s2)
+        member |= (s * s == s2) & ((s - 5) // 2 >= K_MIN[c])
+    l = l0 + 2
+    mu = np.sin(math.pi * l / m) / np.sin(math.pi / m)
+    rb = 2.0 * np.sqrt(m - l - 1)
+    margin = rb - mu
+    fast = ~member & (margin <= -policy.escalation_margin)
+    return [
+        Verdict(mi, l0i, CandidateWitness(mi, False), KIND_OUTSIDE,
+                VERDICT_ORDINARY, 0, l0i, mu_hat=mui, rb=rbi, margin=di)
+        if ok else classify(mi, policy=policy)
+        for mi, l0i, mui, rbi, di, ok in zip(
+            m.tolist(), l0.tolist(), mu.tolist(), rb.tolist(),
+            margin.tolist(), fast.tolist())
+    ]
+
+
 def scan_range(lo: int, hi: int,
                policy: NumericPolicy = DEFAULT_POLICY) -> list[Verdict]:
-    """Classify every odd order in [lo, hi] (both at least 3)."""
+    """Classify every odd order in [lo, hi] (both at least 3).
+
+    In [31, 2**40), orders outside the candidate set J are decided in
+    numpy batches, and everything else goes through classify, with
+    output identical to calling classify on each order.
+    """
     if lo > hi:
         raise ValidationError("empty scan range")
     lo = max(3, lo)
     if lo % 2 == 0:
         lo += 1
-    return [classify(m, policy=policy) for m in range(lo, hi + 1, 2)]
+    fast_lo = max(lo, _SCAN_FROM)
+    fast_hi = min(hi, AUTO_EXTENDED_THRESHOLD - 1)
+    verdicts = [classify(m, policy=policy)
+                for m in range(lo, min(hi, fast_lo - 2) + 1, 2)]
+    for start in range(fast_lo, fast_hi + 1, 2 * _SCAN_CHUNK):
+        verdicts += _scan_chunk(
+            start, min(fast_hi, start + 2 * _SCAN_CHUNK - 2), policy)
+    verdicts += [classify(m, policy=policy)
+                 for m in range(max(lo, fast_hi + 2), hi + 1, 2)]
+    return verdicts
 
 
 def exceptional_orders(x: int,

@@ -144,16 +144,19 @@ def _write_csv(stream, columns, rows) -> None:
 
 def cmd_scan(args) -> int:
     verdicts = scan_range(args.lo, args.hi, policy=_policy(args))
-    rows = [_scan_row(v) for v in verdicts]
+    ## rows feed only the JSON and the CSV, lines only the text output
+    rows = [_scan_row(v) for v in verdicts] if args.json or args.csv else None
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             _write_csv(fh, _SCAN_COLUMNS, rows)
     exceptional = [v.m for v in verdicts if v.verdict == VERDICT_EXCEPTIONAL]
-    lines = [f"m={v.m} l0={v.l0} kind={v.kind} verdict={v.verdict} "
-             f"hat_l={v.hat_l} margin={_fmt(v.margin)}" for v in verdicts]
-    lines.append(f"scanned {len(verdicts)} orders, {len(exceptional)} exceptional")
-    if args.csv:
-        lines.append(f"csv written to {args.csv}")
+    lines = []
+    if not args.json:
+        lines = [f"m={v.m} l0={v.l0} kind={v.kind} verdict={v.verdict} "
+                 f"hat_l={v.hat_l} margin={_fmt(v.margin)}" for v in verdicts]
+        lines.append(f"scanned {len(verdicts)} orders, {len(exceptional)} exceptional")
+        if args.csv:
+            lines.append(f"csv written to {args.csv}")
     _emit(args, {"rows": rows, "exceptional": exceptional}, lines)
     return 0
 

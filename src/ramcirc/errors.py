@@ -6,6 +6,9 @@ relies on failed to hold, which is a bug or a broken assumption, never
 a user mistake (CLI exit code 3).
 """
 
+## the largest enumeration or sieve any entry point runs by default
+DEFAULT_BUDGET = 100_000_000
+
 
 class ValidationError(ValueError):
     """Raised when an argument violates a documented precondition."""
@@ -16,11 +19,11 @@ class InternalInvariantError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive enumeration would exceed its budget."""
+    """Raised when an exhaustive enumeration or a sieve would exceed its budget."""
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int, budget: int, unit: str = "subsets"):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"enumeration needs {required} subsets, budget is {budget}"
+            f"enumeration needs {required} {unit}, budget is {budget}"
         )

@@ -17,7 +17,12 @@ from math import gcd, isqrt
 import numpy as np
 
 from .bounds import CPRIMES, C_OFFSETS
-from .errors import InternalInvariantError, ValidationError
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    InternalInvariantError,
+    ValidationError,
+)
 
 ## deterministic below 2**64
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -192,10 +197,29 @@ def _sieve_cached(limit: int) -> np.ndarray:
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (cached; do not mutate)."""
+    """All primes <= limit as an int64 array (cached; do not mutate).
+
+    The sieve holds one byte per integer, so a limit above DEFAULT_BUDGET
+    raises BudgetExceededError before anything is allocated.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    if limit > DEFAULT_BUDGET:
+        raise BudgetExceededError(limit, DEFAULT_BUDGET, "sieve entries")
     return _sieve_cached(int(limit))
+
+
+def isqrt_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.isqrt of an int64 array with 0 <= x < 2**52.
+
+    A double holds every such x exactly and its square root is correctly
+    rounded, so the truncated float root is off by at most one; one
+    integer correction each way makes it exact.
+    """
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
 
 
 ## ---------------------------------------------------------------- families

@@ -23,7 +23,12 @@ from math import comb, gcd
 import numpy as np
 
 from .bounds import trivial_bound
-from .errors import BudgetExceededError, InternalInvariantError, ValidationError
+from .errors import (  # DEFAULT_BUDGET stays importable from here
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    InternalInvariantError,
+    ValidationError,
+)
 from .numtheory import factorize
 from .precision import DEFAULT_POLICY, NumericPolicy
 from .spectra import (
@@ -33,8 +38,6 @@ from .spectra import (
     ramanujan_bound,
     window_complement,
 )
-
-DEFAULT_BUDGET = 100_000_000
 
 ## chunk size for the vectorised scans, in doubles of the largest
 ## intermediate (the rows x pairs x spectrum gather)

@@ -1,5 +1,6 @@
 """The classifier: kinds, verdicts, thresholds, orderings, profiles."""
 
+import importlib
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from ramcirc import golden
 from ramcirc.bounds import in_candidate_set, trivial_bound
 from ramcirc.classify import (
+    _SCAN_CHUNK,
     REGIME_ORDERS,
     classify,
     exceptional_orders,
@@ -21,6 +23,7 @@ from ramcirc.classify import (
 )
 from ramcirc.errors import ValidationError
 from ramcirc.numtheory import family_eval
+from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, NumericPolicy
 from ramcirc.spectra import eigenvalue, spectrum
 
 
@@ -273,3 +276,58 @@ class TestCensus:
     def test_every_exceptional_is_candidate(self):
         for m in exceptional_orders(2000):
             assert in_candidate_set(m).member
+
+
+## ramcirc/__init__ rebinds the name ramcirc.classify to the function, so
+## the module that the batch tests patch is fetched by import path
+classify_module = importlib.import_module("ramcirc.classify")
+
+
+def _per_order(lo, hi, **kw):
+    return [classify(m, **kw) for m in range(lo, hi + 1, 2)]
+
+
+class TestScanBatches:
+    """scan_range decides most orders in numpy batches; each Verdict must
+    equal the one classify gives, field for field and bit for bit."""
+
+    def test_every_odd_order_through_200001(self):
+        assert scan_range(3, 200001) == _per_order(3, 200001)
+
+    def test_block_across_the_extended_threshold(self):
+        lo, hi = AUTO_EXTENDED_THRESHOLD - 801, AUTO_EXTENDED_THRESHOLD + 801
+        assert scan_range(lo, hi) == _per_order(lo, hi)
+
+    def test_range_longer_than_one_chunk(self, monkeypatch):
+        lo = 10 ** 9 + 1
+        hi = lo + 2 * (_SCAN_CHUNK + 300)
+        chunk = classify_module._scan_chunk
+        sizes = []
+
+        def recording(a, b, policy):
+            sizes.append((b - a) // 2 + 1)
+            return chunk(a, b, policy)
+
+        monkeypatch.setattr(classify_module, "_scan_chunk", recording)
+        got = scan_range(lo, hi)
+        assert sizes == [_SCAN_CHUNK, 301]
+        assert got == _per_order(lo, hi)
+
+    def test_wide_escalation_window_sends_every_order_to_classify(self):
+        policy = NumericPolicy(escalation_margin=1e6)
+        for lo, hi in ((3, 301), (10 ** 6 + 1, 10 ** 6 + 201)):
+            assert scan_range(lo, hi, policy) == _per_order(lo, hi, policy=policy)
+
+    def test_only_candidates_reach_classify(self, monkeypatch):
+        lo, hi = 10 ** 6 + 1, 10 ** 6 + 40001
+        members = [m for m in range(lo, hi + 1, 2) if in_candidate_set(m).member]
+        assert members
+        seen = []
+
+        def counting(m, **kw):
+            seen.append(m)
+            return classify(m, **kw)
+
+        monkeypatch.setattr(classify_module, "classify", counting)
+        scan_range(lo, hi)
+        assert seen == members

@@ -98,6 +98,19 @@ class TestScan:
         assert code == 0
         assert "scanned 27 orders, 13 exceptional" in out
 
+    def test_json_rows_match_classify(self, capsys):
+        code, out, _ = run(capsys, "--json", "scan", "3", "2001")
+        assert code == 0
+        verdicts = [classify(m) for m in range(3, 2002, 2)]
+        rows = [{"m": v.m, "l0": v.l0, "in_j": v.witness.member,
+                 "c": v.witness.c, "k": v.witness.k, "kind": v.kind,
+                 "verdict": v.verdict, "hat_l": v.hat_l, "mu_hat": v.mu_hat,
+                 "rb": v.rb, "margin": v.margin,
+                 "near_threshold": v.near_threshold} for v in verdicts]
+        exceptional = [v.m for v in verdicts if v.verdict == "exceptional"]
+        assert out == json.dumps({"rows": rows, "exceptional": exceptional},
+                                 indent=2) + "\n"
+
 
 class TestSpectrum:
     def test_json(self, capsys):
@@ -182,6 +195,21 @@ class TestCount:
         assert code == 0
         got = json.loads(out)
         assert got["count"] == count_poly([1, 5, -5], 50, "semiprime_distinct")
+
+
+class TestBudget:
+    ## the sieve guard raises before any allocation, so these stay cheap
+    def test_p2_over_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, "count", "p2", "--a", "4",
+                             "--x", "100000000000")
+        assert code == 2 and out == ""
+        assert "budget" in err and "Traceback" not in err
+
+    def test_hlconst_over_budget_exits_2(self, capsys):
+        code, _, err = run(capsys, "hlconst", "--c", "1",
+                           "--plimit", "200000000")
+        assert code == 2
+        assert "budget" in err
 
 
 class TestHlconst:

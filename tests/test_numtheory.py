@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ramcirc.errors import ValidationError
+from ramcirc.errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from ramcirc.numtheory import (
     Factorization,
     avoids_candidate_set,
@@ -17,6 +18,7 @@ from ramcirc.numtheory import (
     family_scan,
     hardy_littlewood_constant,
     is_distinct_semiprime,
+    isqrt_array,
     is_prime,
     jacobi,
     landau_normalizer,
@@ -142,6 +144,27 @@ class TestSieve:
     def test_agrees_with_trial_division(self):
         assert [int(p) for p in sieve_primes(50)] == [
             n for n in range(51) if trial_division_prime(n)]
+
+    def test_limit_over_budget_raises_before_allocating(self):
+        with pytest.raises(BudgetExceededError) as info:
+            sieve_primes(DEFAULT_BUDGET + 1)
+        assert (info.value.required, info.value.budget) == (
+            DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
+
+
+class TestIsqrtArray:
+    def test_around_squares_near_2_pow_21(self):
+        ## 4m + c' stays below 2^42 for m < 2^40, so its root is near 2^21
+        s = np.arange((1 << 21) - 64, (1 << 21) + 64, dtype=np.int64)
+        for d in (-1, 0, 1):
+            x = s * s + d
+            assert isqrt_array(x).tolist() == [math.isqrt(v) for v in x.tolist()]
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 52) - 1),
+                    min_size=1, max_size=50))
+    def test_matches_math_isqrt(self, xs):
+        got = isqrt_array(np.array(xs, dtype=np.int64))
+        assert got.tolist() == [math.isqrt(v) for v in xs]
 
 
 class TestFamily:
