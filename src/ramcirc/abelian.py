@@ -9,7 +9,9 @@ non-cyclic groups only the squares Z_p x Z_p of the first few odd
 primes do.  Z_3 x Z_3 has every class Ramanujan (the classes above
 covalency 5 are empty once connectivity is enforced), Z_p x Z_p gains
 one extra step for p in {7, 11, 13, 17} and two for p = 5, and every
-other non-cyclic group is ordinary with hat_l = l0.
+other non-cyclic group is ordinary with hat_l = l0.  abelian_oracle
+checks this by exhaustion on the enumeration engine of ramcirc.oracle,
+which treats Z_m as the rank-1 case.
 """
 
 from __future__ import annotations
@@ -17,22 +19,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from math import comb
 
 import mpmath as mp
-import numpy as np
 
 from .bounds import trivial_bound
 from .classify import Verdict, classify
-from .errors import BudgetExceededError, InternalInvariantError, ValidationError
+from .errors import DEFAULT_BUDGET, InternalInvariantError, ValidationError
 from .numtheory import is_prime
-from .precision import cos2pi_frac
+from .oracle import class_clean, climb
+from .precision import DEFAULT_POLICY, cos2pi_frac, mp_cos2pi_frac, refine_margin
 
 KIND_CYCLIC = "cyclic"
 KIND_PP = "prime_square_group"
 KIND_GENERIC = "noncyclic_generic"
-
-_BORDER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,6 +147,15 @@ class AbelianCayleySet:
         return self.group.order - self.covalency
 
 
+def _phases(cayley: AbelianCayleySet, chi) -> list[int]:
+    """<chi, t> for every t in the complement, exactly, in units of 1/exponent."""
+    G = cayley.group
+    L = G.exponent
+    weights = [L // n for n in G.orders]
+    return [sum(c * x * w for c, x, w in zip(chi, t, weights)) % L
+            for t in cayley.complement]
+
+
 def abelian_eigenvalue(cayley: AbelianCayleySet, chi) -> float:
     """The eigenvalue of the character chi = (c1, ..., cr).
 
@@ -162,12 +170,9 @@ def abelian_eigenvalue(cayley: AbelianCayleySet, chi) -> float:
         raise ValidationError("character length does not match the group rank")
     if all(c == 0 for c in chi):
         return float(cayley.valency)
-    L = G.exponent
-    weights = [L // n for n in G.orders]
     acc = 0.0
-    for t in cayley.complement:
-        num = sum(c * x * w for c, x, w in zip(chi, t, weights)) % L
-        acc += cos2pi_frac(num, L)
+    for num in _phases(cayley, chi):
+        acc += cos2pi_frac(num, G.exponent)
     return -acc
 
 
@@ -180,34 +185,30 @@ def abelian_spectrum(cayley: AbelianCayleySet) -> list[float]:
 def abelian_is_ramanujan(cayley: AbelianCayleySet) -> bool:
     """Whether every nontrivial eigenvalue clears 2*sqrt(valency - 1).
 
-    Near-ties are re-decided at fifty digits from the exact phase data,
-    and an exact tie counts as Ramanujan.
+    Margins inside the escalation window of DEFAULT_POLICY are
+    recomputed from the exact phase data by refine_margin; the
+    comparison is non-strict and an unresolved margin is a tie, so a
+    tie counts as Ramanujan, as in spectra.is_ramanujan.
     """
     G = cayley.group
     m, l = G.order, cayley.covalency
-    rb = 2.0 * math.sqrt(m - l - 1)
-    worst = 0.0
-    for chi in itertools.product(*(range(n) for n in G.orders)):
-        if all(c == 0 for c in chi):
-            continue
-        worst = max(worst, abs(abelian_eigenvalue(cayley, chi)))
-    if abs(worst - rb) >= _BORDER_TOL:
-        return worst <= rb
-    ## borderline: redo the worst character sums exactly
-    L = G.exponent
-    weights = [L // n for n in G.orders]
-    with mp.workdps(50):
-        rb_mp = 2 * mp.sqrt(m - l - 1)
-        for chi in itertools.product(*(range(n) for n in G.orders)):
-            if all(c == 0 for c in chi):
-                continue
-            acc = mp.mpf(0)
-            for t in cayley.complement:
-                num = sum(c * x * w for c, x, w in zip(chi, t, weights)) % L
-                acc += mp.cos(2 * mp.pi * num / L)
-            if abs(-acc) > rb_mp:
-                return False
-    return True
+    chars = [chi for chi in itertools.product(*(range(n) for n in G.orders))
+             if any(chi)]
+    margin = 2.0 * math.sqrt(m - l - 1) - max(
+        abs(abelian_eigenvalue(cayley, chi)) for chi in chars)
+    if abs(margin) >= DEFAULT_POLICY.escalation_margin:
+        return margin >= 0.0
+
+    def margin_fn(_digits):
+        return 2 * mp.sqrt(m - l - 1) - max(
+            abs(mp.fsum(mp_cos2pi_frac(num, G.exponent)
+                        for num in _phases(cayley, chi)))
+            for chi in chars)
+
+    margin, _, resolved = refine_margin(
+        margin_fn, DEFAULT_POLICY, DEFAULT_POLICY.start_digits(m),
+        scale=max(1.0, math.sqrt(m)))
+    return margin >= 0.0 or not resolved
 
 
 ## ------------------------------------------------- prime-square excess
@@ -299,31 +300,8 @@ def abelian_hat_l(group: AbelianGroup) -> AbelianVerdict:
 
 ## ------------------------------------------------------------- oracle
 
-def _pair_reps(group: AbelianGroup) -> list[tuple[int, ...]]:
-    reps, seen = [], {group.identity}
-    for t in group.elements():
-        if t in seen:
-            continue
-        seen.add(t)
-        seen.add(group.negate(t))
-        reps.append(t)
-    return reps
-
-
-def _char_table(group: AbelianGroup, reps) -> np.ndarray:
-    """P[i, j] = chi_j(t_i) + chi_j(-t_i) over the nontrivial characters."""
-    L = group.exponent
-    weights = np.array([L // n for n in group.orders], dtype=np.int64)
-    R = np.array(reps, dtype=np.int64) * weights
-    chars = [chi for chi in itertools.product(*(range(n) for n in group.orders))
-             if any(chi)]
-    X = np.array(chars, dtype=np.int64)
-    phases = np.mod(R @ X.T, L)
-    return 2.0 * np.cos((2.0 * math.pi / L) * phases)
-
-
 def abelian_oracle(group: AbelianGroup, l_max: int | None = None,
-                   budget: int = 100_000_000) -> int:
+                   budget: int = DEFAULT_BUDGET) -> int:
     """Exact hat_l by exhausting every class above l0, for |G| <= 49.
 
     Classes of covalency at most l0 are Ramanujan outright, so the climb
@@ -334,57 +312,9 @@ def abelian_oracle(group: AbelianGroup, l_max: int | None = None,
     m = group.order
     if m > 49:
         raise ValidationError("the exhaustive oracle is limited to |G| <= 49")
-    reps = _pair_reps(group)
-    table = _char_table(group, reps)
-    rep_elems = [(t, group.negate(t)) for t in reps]
-    spf = _smallest_prime_factor(m)
-    hat = trivial_bound(m)
-    limit = m - 2 if l_max is None else min(l_max, m - 2)
-    l = hat + 2
-    while l <= limit:
-        if not _class_clean(group, reps, rep_elems, table, l, spf, budget):
-            break
-        hat = l
-        l += 2
-    return hat
 
+    def exact(reps):
+        return abelian_is_ramanujan(AbelianCayleySet.from_pairs(group, reps))
 
-def _smallest_prime_factor(m: int) -> int:
-    for d in range(3, m + 1, 2):
-        if m % d == 0:
-            return d
-    return m
-
-
-def _class_clean(group, reps, rep_elems, table, l, spf, budget) -> bool:
-    m = group.order
-    r = (l - 1) // 2
-    if r > len(reps):
-        return True
-    total = comb(len(reps), r)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    rb = 2.0 * math.sqrt(m - l - 1)
-    ## connectivity can only fail when the kept set fits in a maximal
-    ## subgroup (of size m/spf, identity removed)
-    filter_needed = (m - l) <= m // spf - 1
-    elements = group.elements()
-    idx_iter = itertools.combinations(range(len(reps)), r)
-    chunk = max(1, 4_000_000 // (max(r, 1) * table.shape[1]))
-    while True:
-        block = list(itertools.islice(idx_iter, chunk))
-        if not block:
-            return True
-        idx = np.array(block, dtype=np.intp)
-        lam = -(1.0 + table[idx].sum(axis=1))
-        absmax = np.abs(lam).max(axis=1)
-        for row in np.nonzero(absmax > rb - _BORDER_TOL)[0]:
-            tset = {group.identity}
-            for i in idx[row]:
-                tset.update(rep_elems[i])
-            if filter_needed and not group.spans(
-                    [e for e in elements if e not in tset]):
-                continue
-            cay = AbelianCayleySet.from_pairs(group, (reps[i] for i in idx[row]))
-            if not abelian_is_ramanujan(cay):
-                return False
+    return climb(m, m - 2 if l_max is None else l_max,
+                 lambda l: class_clean(group.orders, l, budget, exact))

@@ -10,7 +10,8 @@ by the sign of the window excess
 
 the amount by which the canonical window set at covalency l0 + 2 beats
 the Ramanujan bound (k = floor(sqrt(m) - 3/2), so 2k + 3 = l0 + 2).
-A positive excess certifies m ordinary.  The excess is negative exactly
+A positive excess certifies m ordinary (window_margin computes it at
+any covalency, with the sign of a margin).  The excess is negative exactly
 on a short window around k^2 + 5k, which confines every exceptional
 order to the candidate set: the odd numbers 15..29 together with the
 values k^2 + 5k + c for c in {-5,-3,-1,1,3,5} (k >= 4, and k >= 19 when
@@ -27,7 +28,13 @@ from math import isqrt
 import mpmath as mp
 
 from .errors import InternalInvariantError, ValidationError
-from .precision import DEFAULT_POLICY, NumericPolicy, mp_sinpi_frac
+from .precision import (
+    AUTO_EXTENDED_THRESHOLD,
+    DEFAULT_POLICY,
+    NumericPolicy,
+    mp_sinpi_frac,
+    refine_margin,
+)
 from .spectra import check_modulus, ramanujan_bound, window_eigenvalue
 
 ## admissible offsets c, their discriminants c' = 25 - 4c, and the least
@@ -51,6 +58,28 @@ def interval_index(m: int) -> int:
     return (isqrt(4 * m) - 3) // 2
 
 
+def window_margin(m: int, l: int, policy: NumericPolicy = DEFAULT_POLICY):
+    """(mu, rb, rb - mu) for mu = -window_eigenvalue(m, l, 1), refined in
+    extended precision near zero and from AUTO_EXTENDED_THRESHOLD on."""
+    if m <= AUTO_EXTENDED_THRESHOLD:
+        mu = -window_eigenvalue(m, l, 1)
+        rb = ramanujan_bound(m, l)
+        margin = rb - mu
+        if abs(margin) >= policy.escalation_margin:
+            return mu, rb, margin
+
+    def margin_fn(_digits):
+        return (2 * mp.sqrt(m - l - 1)
+                - mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m))
+
+    margin, digits, _ = refine_margin(
+        margin_fn, policy, policy.start_digits(m), scale=max(1.0, math.sqrt(m)))
+    with mp.workdps(digits):
+        mu = float(mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m))
+        rb = float(2 * mp.sqrt(m - l - 1))
+    return mu, rb, margin
+
+
 def window_excess(m: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     """Signed excess of the canonical window set over the Ramanujan bound.
 
@@ -60,13 +89,7 @@ def window_excess(m: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     check_modulus(m)
     if m < 5:
         raise ValidationError("window excess needs odd m >= 5")
-    l = trivial_bound(m) + 2
-    d = -window_eigenvalue(m, l, 1) - ramanujan_bound(m, l)
-    if abs(d) >= policy.escalation_margin:
-        return d
-    with mp.workdps(policy.start_digits(m)):
-        val = mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m) - 2 * mp.sqrt(m - l - 1)
-        return float(val)
+    return -window_margin(m, trivial_bound(m) + 2, policy)[2]
 
 
 def negative_excess_window(k: int) -> tuple[int, int]:
@@ -159,9 +182,4 @@ def window_violation(m: int, h: int,
     l = trivial_bound(m) + 2 * h
     if 2 * l >= m:
         raise InternalInvariantError(f"window covalency {l} reached m/2 at m={m}")
-    excess = -window_eigenvalue(m, l, 1) - ramanujan_bound(m, l)
-    if abs(excess) < policy.escalation_margin:
-        with mp.workdps(policy.start_digits(m)):
-            excess = float(mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m)
-                           - 2 * mp.sqrt(m - l - 1))
-    return excess > 0
+    return window_margin(m, l, policy)[2] < 0

@@ -34,7 +34,7 @@ from .bounds import (
     CandidateWitness,
     in_candidate_set,
     trivial_bound,
-    window_excess,
+    window_margin,
 )
 from .errors import InternalInvariantError, ValidationError
 from .numtheory import Factorization, factorize, is_prime, isqrt_array
@@ -181,28 +181,6 @@ def _semiprime_margin(p: int, q: int, l0: int, policy: NumericPolicy):
     return mu_hat, rb, margin
 
 
-def _window_margin(m: int, l0: int, policy: NumericPolicy):
-    """(mu_window, rb, margin) at covalency l0 + 2, extended when needed."""
-    l = l0 + 2
-    if m <= AUTO_EXTENDED_THRESHOLD:
-        mu = -window_eigenvalue(m, l, 1)
-        rb = ramanujan_bound(m, l)
-        margin = rb - mu
-        if abs(margin) >= policy.escalation_margin:
-            return mu, rb, margin
-
-    def margin_fn(_digits):
-        return (2 * mp.sqrt(m - l - 1)
-                - mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m))
-
-    margin, digits, _ = refine_margin(
-        margin_fn, policy, policy.start_digits(m), scale=max(1.0, math.sqrt(m)))
-    with mp.workdps(digits):
-        mu = float(mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m))
-        rb = float(2 * mp.sqrt(m - l - 1))
-    return mu, rb, margin
-
-
 def _near_threshold(p: int, q: int, c: int | None) -> bool | None:
     """Whether sqrt(q/p) falls between the analytic threshold pair for c."""
     if c is None:
@@ -227,7 +205,7 @@ def classify(m: int, factors=None,
                        VERDICT_ALL_RAMANUJAN, None, m - 2)
     w = in_candidate_set(m)
     if not w.member:
-        mu, rb, margin = _window_margin(m, l0, policy)
+        mu, rb, margin = window_margin(m, l0 + 2, policy)
         if margin >= 0:
             raise InternalInvariantError(
                 f"positive window excess expected outside the candidate set, m={m}")
@@ -243,7 +221,7 @@ def classify(m: int, factors=None,
         fac = _normalize_factors(m, factors)
 
     if fac.is_prime:
-        mu, rb, margin = _window_margin(m, l0, policy)
+        mu, rb, margin = window_margin(m, l0 + 2, policy)
         if margin < 0:
             raise InternalInvariantError(
                 f"prime candidate {m} shows a positive window excess")

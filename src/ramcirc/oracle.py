@@ -1,10 +1,12 @@
 """Exhaustive verification of edge-removal bounds by direct enumeration.
 
 A complement class is the set of all negation-closed complements of odd
-size l containing 0.  Enumeration runs over index combinations of the
-(m - 1)/2 negation pairs, with eigenvalues evaluated in vectorised
-chunks against a shared cosine pair table.  Raw class sizes grow as
-C((m-1)/2, (l-1)/2), so every scan is gated by an explicit budget.
+size l containing the identity.  One engine enumerates it for any odd
+abelian group, given by its invariant factors (Z_m is the rank-1 case
+(m,)): index combinations of the negation pairs are scanned in
+vectorised chunks against a table of pair characters, since chi and
+-chi agree on a symmetric set.  Raw class sizes grow as
+C((|G|-1)/2, (l-1)/2), so every scan is gated by an explicit budget.
 
 Everything here is deliberately independent of the closed-form route:
 no window formulas, no candidate-set reasoning, just brute force.  The
@@ -23,6 +25,7 @@ from math import comb, gcd
 import numpy as np
 
 from .bounds import trivial_bound
+from .classify import semiprime_candidates
 from .errors import (  # DEFAULT_BUDGET stays importable from here
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -33,6 +36,7 @@ from .numtheory import factorize
 from .precision import DEFAULT_POLICY, NumericPolicy
 from .spectra import (
     CayleySet,
+    check_covalency,
     check_modulus,
     is_ramanujan,
     ramanujan_bound,
@@ -40,17 +44,11 @@ from .spectra import (
 )
 
 ## chunk size for the vectorised scans, in doubles of the largest
-## intermediate (the rows x pairs x spectrum gather)
-_CHUNK_FLOATS = 8_000_000
+## intermediate (the rows x pairs x characters gather)
+_CHUNK_FLOATS = 2_000_000
 
-## |mu| within this of the bound gets re-decided at extended precision
+## |mu| within this of the bound gets re-decided by an exact predicate
 _BORDER_TOL = 1e-9
-
-
-def _check_class(m: int, l: int) -> None:
-    check_modulus(m)
-    if l % 2 == 0 or not 1 <= l <= m - 2:
-        raise ValidationError(f"covalency must be odd in [1, m-2], got l={l}")
 
 
 def class_size(m: int, l: int) -> int:
@@ -60,85 +58,89 @@ def class_size(m: int, l: int) -> int:
     whose kept set fails to generate are included here (the budget is
     charged for them) but skipped during enumeration.
     """
-    _check_class(m, l)
+    check_covalency(m, l)
     return comb((m - 1) // 2, (l - 1) // 2)
 
 
-def _generation_filter_active(m: int, l: int) -> bool:
-    ## the kept set can only fall inside a proper subgroup when its
-    ## m - l elements fit among the m/spf - 1 nonzero ones available
-    spf = factorize(m).factors[0][0]
-    return m - l <= m // spf - 1
+def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
+    """Yield (reps, absmax) chunks over the connected covalency-l class.
 
-
-def _budget_check(m: int, l: int, budget: int) -> int:
-    size = class_size(m, l)
+    G has invariant factors orders and l is an odd covalency in
+    [1, |G| - 2]; callers validate both.  Each negation pair is
+    represented by its first element in product order (for Z_m, i + 1),
+    and the same representatives index the pair characters:
+    phases[i, j] = <rep_j, rep_i> in units of 1/exponent.  reps[k] holds
+    one complement's removed representatives and absmax[k] its largest
+    |lambda_chi|.  Every proper subgroup lies in a character kernel, so
+    a complement that removes every pair outside some kernel leaves a
+    kept set that does not generate G; such rows are dropped.
+    """
+    L = orders[-1]
+    E = np.indices(orders).reshape(len(orders), -1).T
+    R = E[np.arange(len(E)) < np.ravel_multi_index((-E % orders).T, orders)]
+    phases = ((R * (L // np.array(orders))) @ R.T) % L
+    h, r = len(R), (l - 1) // 2
+    size = comb(h, r)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    return size
+    P = 2.0 * np.cos((2.0 * math.pi / L) * phases)
+    outside = phases != 0
+    ## r removed pairs can cover only kernels with at most r pairs outside
+    cover = outside[:, outside.sum(axis=0) <= r]
+    cover_size = cover.sum(axis=0)
+    rows = max(1, _CHUNK_FLOATS // max(1, h * max(1, r)))
+    combos = itertools.combinations(range(h), r)
+    while chunk := list(itertools.islice(combos, rows)):
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
+        if cover.shape[1]:
+            idx = idx[~(cover[idx].sum(axis=1) == cover_size).any(axis=1)]
+            if idx.shape[0] == 0:
+                continue
+        mu = -(1.0 + P[idx].sum(axis=1))
+        yield R[idx], np.abs(mu).max(axis=1)
+
+
+def class_clean(orders: tuple[int, ...], l: int, budget: int, exact) -> bool:
+    """Whether no connected complement of covalency l breaks the bound.
+
+    Rows within _BORDER_TOL of 2*sqrt(|G| - l - 1) are re-decided by
+    exact(reps), the group's extended-precision Ramanujan predicate.
+    An empty class counts as clean.
+    """
+    rb = 2.0 * math.sqrt(math.prod(orders) - l - 1)
+    for reps, absmax in scan_class(orders, l, budget):
+        if np.any(absmax > rb + _BORDER_TOL):
+            return False
+        for i in np.nonzero(absmax > rb - _BORDER_TOL)[0]:
+            if not exact(reps[i]):
+                return False
+    return True
+
+
+def climb(m: int, l_max: int, clean) -> int:
+    """The largest l <= l_max with clean(l') for every l' in l0+2..l.
+
+    Classes up to l0 = trivial_bound(m) are Ramanujan outright, so the
+    climb starts at l0 + 2; it returns l0 when that class is not clean.
+    """
+    hat = trivial_bound(m)
+    for l in range(hat + 2, min(l_max, m - 2) + 1, 2):
+        if not clean(l):
+            break
+        hat = l
+    return hat
+
+
+def _cayley(m: int, reps: np.ndarray) -> CayleySet:
+    return CayleySet.from_pairs(m, reps[:, 0].tolist())
 
 
 def enumerate_class(m: int, l: int, budget: int = DEFAULT_BUDGET):
     """Yield every valid complement in the class, smallest pairs first."""
-    _budget_check(m, l, budget)
-    h = (m - 1) // 2
-    r = (l - 1) // 2
-    filtering = _generation_filter_active(m, l)
-    for combo in itertools.combinations(range(1, h + 1), r):
-        if filtering:
-            chosen = set(combo)
-            g = 0
-            for a in range(1, h + 1):
-                if a not in chosen:
-                    g = gcd(g, a)
-                    if g == 1:
-                        break
-            if gcd(g, m) != 1:
-                continue
-        yield CayleySet.from_pairs(m, combo)
-
-
-def _pair_cos_table(m: int) -> np.ndarray:
-    """P[i, j] = 2*cos(2*pi*(i+1)*(j+1)/m), both axes over pair reps."""
-    h = (m - 1) // 2
-    a = np.arange(1, h + 1, dtype=np.int64)
-    return 2.0 * np.cos((2.0 * math.pi / m) * (np.outer(a, a) % m))
-
-
-def _iter_chunks(m: int, l: int, budget: int):
-    """Yield (index_rows, absmax) over the class in vectorised chunks.
-
-    index_rows holds 0-based pair indices (residue = index + 1); absmax
-    is the per-row maximum of |mu_j| over the nontrivial characters.
-    """
-    _budget_check(m, l, budget)
-    h = (m - 1) // 2
-    r = (l - 1) // 2
-    P = _pair_cos_table(m)
-    filtering = _generation_filter_active(m, l)
-    rows = max(1, _CHUNK_FLOATS // max(1, h * max(1, r)))
-    combos = itertools.combinations(range(h), r)
-    while True:
-        chunk = list(itertools.islice(combos, rows))
-        if not chunk:
-            return
-        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
-        if filtering:
-            keep = np.ones(len(idx), dtype=bool)
-            for i, row in enumerate(idx):
-                chosen = set(int(a) + 1 for a in row)
-                g = 0
-                for a in range(1, h + 1):
-                    if a not in chosen:
-                        g = gcd(g, a)
-                        if g == 1:
-                            break
-                keep[i] = gcd(g, m) == 1
-            idx = idx[keep]
-            if idx.shape[0] == 0:
-                continue
-        mu = -(1.0 + P[idx].sum(axis=1))
-        yield idx, np.abs(mu).max(axis=1)
+    check_covalency(m, l)
+    for reps, _ in scan_class((m,), l, budget):
+        for row in reps:
+            yield _cayley(m, row)
 
 
 @dataclass(frozen=True)
@@ -154,17 +156,17 @@ class ClassMax:
 
 def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     """Scan the entire class and report the extremal complement."""
+    check_covalency(m, l)
     best = -math.inf
     best_row = None
-    for idx, absmax in _iter_chunks(m, l, budget):
+    for reps, absmax in scan_class((m,), l, budget):
         i = int(np.argmax(absmax))
         if absmax[i] > best:
             best = float(absmax[i])
-            best_row = idx[i]
+            best_row = reps[i]
     if best_row is None:
         raise InternalInvariantError(f"class m={m}, l={l} has no valid sets")
-    witness = CayleySet.from_pairs(m, (int(a) + 1 for a in best_row))
-    return ClassMax(m, l, best, ramanujan_bound(m, l), witness)
+    return ClassMax(m, l, best, ramanujan_bound(m, l), _cayley(m, best_row))
 
 
 def _suspects(m: int, l: int) -> list[CayleySet]:
@@ -196,51 +198,34 @@ def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET,
 
     Suspected extremal sets are decided first, so violating classes
     answer quickly; the full scan then covers everything.  Rows within
-    1e-9 of the bound are re-decided at extended precision.  An empty
+    _BORDER_TOL of the bound are re-decided by is_ramanujan.  An empty
     class (everything filtered as non-generating) counts as True.
     """
-    _check_class(m, l)
+    check_covalency(m, l)
     for s in _suspects(m, l):
         if not is_ramanujan(s, policy=policy).is_ramanujan:
             return False
-    rb = ramanujan_bound(m, l)
-    for idx, absmax in _iter_chunks(m, l, budget):
-        if np.any(absmax > rb + _BORDER_TOL):
-            return False
-        for i in np.nonzero(absmax > rb - _BORDER_TOL)[0]:
-            s = CayleySet.from_pairs(m, (int(a) + 1 for a in idx[i]))
-            if not is_ramanujan(s, policy=policy).is_ramanujan:
-                return False
-    return True
+    return class_clean((m,), l, budget, lambda reps: is_ramanujan(
+        _cayley(m, reps), policy=policy).is_ramanujan)
 
 
 def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET,
                      policy: NumericPolicy = DEFAULT_POLICY) -> int:
     """Edge-removal bound by direct search, independent of the theory.
 
-    For m <= 13 the classes are climbed from covalency 1 until the
-    first violation.  From m = 15 on, classes up to l0 are Ramanujan
-    for free, so only l0 + 2 and l0 + 4 are scanned; a clean l0 + 4
-    would contradict the window set breaking the bound there and is
-    reported as an internal error.
+    For m <= 13 the classes from l0 + 2 up to m - 2 are climbed.  From
+    m = 15 on, only l0 + 2 and l0 + 4 are scanned; a clean l0 + 4 would contradict
+    the window set breaking the bound there and is reported as an
+    internal error.
     """
     check_modulus(m)
-    if m <= 13:
-        hat = None
-        for l in range(1, m - 1, 2):
-            if not class_all_ramanujan(m, l, budget, policy):
-                break
-            hat = l
-        if hat is None:
-            raise InternalInvariantError(f"no Ramanujan class at all for m={m}")
-        return hat
     l0 = trivial_bound(m)
-    if not class_all_ramanujan(m, l0 + 2, budget, policy):
-        return l0
-    if not class_all_ramanujan(m, l0 + 4, budget, policy):
-        return l0 + 2
-    raise InternalInvariantError(
-        f"class at covalency l0+4 came out clean for m={m}")
+    hat = climb(m, m - 2 if m <= 13 else l0 + 4,
+                lambda l: class_all_ramanujan(m, l, budget, policy))
+    if m >= 15 and hat == l0 + 4:
+        raise InternalInvariantError(
+            f"class at covalency l0+4 came out clean for m={m}")
+    return hat
 
 
 ## ------------------------------------------------------- semiprime families
@@ -312,8 +297,6 @@ def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET,
     against max(mu0, mu1, mu2), and identifies the extremal set as one
     of the predicted families up to a unit multiplier.
     """
-    from .classify import semiprime_candidates
-
     fac = factorize(m)
     pq = fac.distinct_semiprime
     if pq is None:

@@ -37,6 +37,12 @@ def check_modulus(m: int) -> None:
         raise ValidationError(f"modulus must be an odd integer >= 3, got {m!r}")
 
 
+def check_covalency(m: int, l: int) -> None:
+    check_modulus(m)
+    if l % 2 == 0 or not 1 <= l <= m - 2:
+        raise ValidationError(f"covalency must be odd in [1, m-2], got {l}")
+
+
 @dataclass(frozen=True)
 class CayleySet:
     """A symmetric connection set of Z_m stored via its complement.
@@ -123,9 +129,7 @@ class RamanujanDecision:
 
 def window_complement(m: int, l: int) -> CayleySet:
     """The canonical complement {0, +-1, ..., +-(l-1)/2} at covalency l."""
-    check_modulus(m)
-    if l % 2 == 0 or not 1 <= l <= m - 2:
-        raise ValidationError(f"covalency must be odd in [1, m-2], got {l}")
+    check_covalency(m, l)
     return CayleySet.from_pairs(m, range(1, (l - 1) // 2 + 1))
 
 
@@ -167,9 +171,7 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
     sum for every valid (m, l, j).  With digits set, evaluates in mpmath
     at that precision (arguments reduced exactly either way).
     """
-    check_modulus(m)
-    if l % 2 == 0 or not 1 <= l <= m - 2:
-        raise ValidationError(f"covalency must be odd in [1, m-2], got {l}")
+    check_covalency(m, l)
     if not 1 <= j <= m - 1:
         raise ValidationError("index j must lie in [1, m-1]")
     if digits is not None:

@@ -16,7 +16,7 @@ from ramcirc.abelian import (
 )
 from ramcirc.errors import ValidationError
 from ramcirc.numtheory import sieve_primes
-from ramcirc.spectra import CayleySet, spectrum
+from ramcirc.spectra import CayleySet, is_ramanujan, spectrum
 
 
 class TestGroup:
@@ -94,6 +94,17 @@ class TestSpectrumValues:
         g = AbelianGroup((9,))
         kept = [(1,), (8,)]
         s = AbelianCayleySet(g, tuple(t for t in g.elements() if t not in kept))
+        assert abelian_is_ramanujan(s)
+
+    def test_exact_tie_counts_as_ramanujan(self):
+        ## Z_45 at covalency 19: the character of order 3 (j = 15) gives
+        ## |mu| = 10 = 2*sqrt(25) exactly, a tie no precision resolves
+        pairs = (1, 3, 4, 6, 7, 9, 12, 15, 18)
+        cyc = CayleySet.from_pairs(45, pairs)
+        assert cyc.covalency == 19
+        assert spectrum(cyc).values[15] == pytest.approx(-10.0, abs=1e-12)
+        assert is_ramanujan(cyc).is_ramanujan
+        s = AbelianCayleySet.from_pairs(AbelianGroup((45,)), [(a,) for a in pairs])
         assert abelian_is_ramanujan(s)
 
 

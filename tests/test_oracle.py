@@ -1,9 +1,11 @@
 """The exhaustive route, and its agreement with the closed forms."""
 
+import itertools
 import math
 
 import pytest
 
+from ramcirc.abelian import AbelianGroup
 from ramcirc.classify import classify
 from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.oracle import (
@@ -12,9 +14,10 @@ from ramcirc.oracle import (
     class_size,
     enumerate_class,
     hat_l_exhaustive,
+    scan_class,
     semiprime_crosscheck,
 )
-from ramcirc.spectra import spectrum, window_complement
+from ramcirc.spectra import CayleySet, spectrum, window_complement
 
 
 class TestEnumeration:
@@ -46,6 +49,48 @@ class TestEnumeration:
     def test_rejects_even_covalency(self):
         with pytest.raises(ValidationError):
             class_size(35, 10)
+
+
+class TestScanFilter:
+    def test_kept_rows_are_exactly_the_generating_sets(self):
+        ## every odd abelian group of order at most 27: the cyclic ones
+        ## and Z3xZ3, Z5xZ5, Z3xZ9, Z3xZ3xZ3
+        groups = [(m,) for m in range(3, 28, 2)] + [(3, 3), (5, 5), (3, 9), (3, 3, 3)]
+        for orders in groups:
+            g = AbelianGroup(orders)
+            elements = g.elements()
+            reps, seen = [], {g.identity}
+            for t in elements:
+                if t not in seen:
+                    seen.update((t, g.negate(t)))
+                    reps.append(t)
+
+            def complement(pairs):
+                return frozenset([g.identity, *pairs, *map(g.negate, pairs)])
+
+            for l in range(1, g.order - 1, 2):
+                kept = {complement([tuple(t) for t in row.tolist()])
+                        for chunk, _ in scan_class(orders, l) for row in chunk}
+                ## a proper subgroup of an odd-order group has at most |G|/3
+                ## elements, so larger kept sets span; otherwise ask spans,
+                ## whose subgroup from the kept pair representatives is the
+                ## one the whole kept set generates
+                combos = [complement(c) for c in itertools.combinations(reps, (l - 1) // 2)]
+                spanning = {t for t in combos
+                            if 3 * (g.order - l) > g.order
+                            or g.spans([e for e in reps if e not in t])}
+                assert kept == spanning, (orders, l)
+                if g.is_cyclic:
+                    assert kept == {t for t in combos if _passes_gcd_check(g.order, t)}
+
+
+def _passes_gcd_check(m, t):
+    """Whether CayleySet accepts the rank-1 complement t (its gcd check)."""
+    try:
+        CayleySet.from_residues(m, [b for (b,) in t])
+    except ValidationError:
+        return False
+    return True
 
 
 class TestClassMax:
