@@ -27,7 +27,7 @@ from .classify import Verdict, classify
 from .errors import DEFAULT_BUDGET, InternalInvariantError, ValidationError
 from .numtheory import is_prime
 from .oracle import class_clean, climb
-from .precision import DEFAULT_POLICY, cos2pi_frac, mp_cos2pi_frac, refine_margin
+from .precision import cos2pi_frac, decide, mp_cos2pi_frac
 
 KIND_CYCLIC = "cyclic"
 KIND_PP = "prime_square_group"
@@ -185,30 +185,22 @@ def abelian_spectrum(cayley: AbelianCayleySet) -> list[float]:
 def abelian_is_ramanujan(cayley: AbelianCayleySet) -> bool:
     """Whether every nontrivial eigenvalue clears 2*sqrt(valency - 1).
 
-    Margins inside the escalation window of DEFAULT_POLICY are
-    recomputed from the exact phase data by refine_margin; the
-    comparison is non-strict and an unresolved margin is a tie, so a
-    tie counts as Ramanujan, as in spectra.is_ramanujan.
+    precision.decide settles the comparison, recomputing margins inside
+    the escalation window from the exact phase data; the comparison is
+    non-strict and a tie counts as Ramanujan, as in spectra.is_ramanujan.
     """
     G = cayley.group
-    m, l = G.order, cayley.covalency
     chars = [chi for chi in itertools.product(*(range(n) for n in G.orders))
              if any(chi)]
-    margin = 2.0 * math.sqrt(m - l - 1) - max(
-        abs(abelian_eigenvalue(cayley, chi)) for chi in chars)
-    if abs(margin) >= DEFAULT_POLICY.escalation_margin:
-        return margin >= 0.0
 
-    def margin_fn(_digits):
-        return 2 * mp.sqrt(m - l - 1) - max(
-            abs(mp.fsum(mp_cos2pi_frac(num, G.exponent)
-                        for num in _phases(cayley, chi)))
-            for chi in chars)
+    def mu_mp(_digits):
+        return max(abs(mp.fsum(mp_cos2pi_frac(num, G.exponent)
+                               for num in _phases(cayley, chi)))
+                   for chi in chars)
 
-    margin, _, resolved = refine_margin(
-        margin_fn, DEFAULT_POLICY, DEFAULT_POLICY.start_digits(m),
-        scale=max(1.0, math.sqrt(m)))
-    return margin >= 0.0 or not resolved
+    return decide(G.order, cayley.covalency,
+                  lambda: max(abs(abelian_eigenvalue(cayley, chi)) for chi in chars),
+                  mu_mp).is_ramanujan
 
 
 ## ------------------------------------------------- prime-square excess

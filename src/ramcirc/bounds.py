@@ -21,21 +21,12 @@ c = -5).  Membership is decided by an exact integer square test on
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import isqrt
 
-import mpmath as mp
-
 from .errors import InternalInvariantError, ValidationError
-from .precision import (
-    AUTO_EXTENDED_THRESHOLD,
-    DEFAULT_POLICY,
-    NumericPolicy,
-    mp_sinpi_frac,
-    refine_margin,
-)
-from .spectra import check_modulus, ramanujan_bound, window_eigenvalue
+from .precision import DEFAULT_POLICY, NumericPolicy, RamanujanDecision, decide
+from .spectra import check_modulus, window_eigenvalue
 
 ## admissible offsets c, their discriminants c' = 25 - 4c, and the least
 ## band index k at which each offset enters the candidate set
@@ -58,26 +49,12 @@ def interval_index(m: int) -> int:
     return (isqrt(4 * m) - 3) // 2
 
 
-def window_margin(m: int, l: int, policy: NumericPolicy = DEFAULT_POLICY):
-    """(mu, rb, rb - mu) for mu = -window_eigenvalue(m, l, 1), refined in
-    extended precision near zero and from AUTO_EXTENDED_THRESHOLD on."""
-    if m <= AUTO_EXTENDED_THRESHOLD:
-        mu = -window_eigenvalue(m, l, 1)
-        rb = ramanujan_bound(m, l)
-        margin = rb - mu
-        if abs(margin) >= policy.escalation_margin:
-            return mu, rb, margin
-
-    def margin_fn(_digits):
-        return (2 * mp.sqrt(m - l - 1)
-                - mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m))
-
-    margin, digits, _ = refine_margin(
-        margin_fn, policy, policy.start_digits(m), scale=max(1.0, math.sqrt(m)))
-    with mp.workdps(digits):
-        mu = float(mp_sinpi_frac(l, m) / mp_sinpi_frac(1, m))
-        rb = float(2 * mp.sqrt(m - l - 1))
-    return mu, rb, margin
+def window_margin(m: int, l: int,
+                  policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
+    """The decision for mu = -window_eigenvalue(m, l, 1) against the bound
+    at covalency l; its margin is the window margin."""
+    return decide(m, l, lambda: -window_eigenvalue(m, l, 1),
+                  lambda digits: -window_eigenvalue(m, l, 1, digits), policy)
 
 
 def window_excess(m: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:
@@ -89,7 +66,7 @@ def window_excess(m: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     check_modulus(m)
     if m < 5:
         raise ValidationError("window excess needs odd m >= 5")
-    return -window_margin(m, trivial_bound(m) + 2, policy)[2]
+    return -window_margin(m, trivial_bound(m) + 2, policy).margin
 
 
 def negative_excess_window(k: int) -> tuple[int, int]:
@@ -182,4 +159,4 @@ def window_violation(m: int, h: int,
     l = trivial_bound(m) + 2 * h
     if 2 * l >= m:
         raise InternalInvariantError(f"window covalency {l} reached m/2 at m={m}")
-    return window_margin(m, l, policy)[2] < 0
+    return window_margin(m, l, policy).margin < 0

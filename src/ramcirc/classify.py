@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 import mpmath as mp
 import numpy as np
@@ -42,9 +41,9 @@ from .precision import (
     AUTO_EXTENDED_THRESHOLD,
     DEFAULT_POLICY,
     NumericPolicy,
+    decide,
     mp_cos2pi_frac,
     mp_sinpi_frac,
-    refine_margin,
 )
 from .spectra import CayleySet, check_modulus, ramanujan_bound, window_eigenvalue
 
@@ -157,30 +156,6 @@ def _normalize_factors(m: int, factors) -> Factorization:
     return fac
 
 
-def _semiprime_margin(p: int, q: int, l0: int, policy: NumericPolicy):
-    """(mu_hat, rb, margin) for kind II, escalating borderline margins."""
-    m = p * q
-    rb_d = ramanujan_bound(m, l0 + 2)
-    if m <= AUTO_EXTENDED_THRESHOLD:
-        mu_hat = max(semiprime_candidates(p, q, l0))
-        margin = rb_d - mu_hat
-        if abs(margin) >= policy.escalation_margin:
-            return mu_hat, rb_d, margin
-
-    def margin_fn(_digits):
-        cands = semiprime_candidates(p, q, l0, digits=_digits)
-        return 2 * mp.sqrt(m - l0 - 3) - max(cands)
-
-    margin, digits, resolved = refine_margin(
-        margin_fn, policy, policy.start_digits(m), scale=max(1.0, math.sqrt(m)))
-    with mp.workdps(digits):
-        mu_hat = float(max(semiprime_candidates(p, q, l0, digits=digits)))
-        rb = float(2 * mp.sqrt(m - l0 - 3))
-    if not resolved:
-        margin = 0.0
-    return mu_hat, rb, margin
-
-
 def _near_threshold(p: int, q: int, c: int | None) -> bool | None:
     """Whether sqrt(q/p) falls between the analytic threshold pair for c."""
     if c is None:
@@ -205,12 +180,12 @@ def classify(m: int, factors=None,
                        VERDICT_ALL_RAMANUJAN, None, m - 2)
     w = in_candidate_set(m)
     if not w.member:
-        mu, rb, margin = window_margin(m, l0 + 2, policy)
-        if margin >= 0:
+        d = window_margin(m, l0 + 2, policy)
+        if d.margin >= 0:
             raise InternalInvariantError(
                 f"positive window excess expected outside the candidate set, m={m}")
         return Verdict(m, l0, w, KIND_OUTSIDE, VERDICT_ORDINARY, 0, l0,
-                       mu_hat=mu, rb=rb, margin=margin)
+                       mu_hat=d.mu_max, rb=d.rb, margin=d.margin)
 
     if factors is None:
         if m >= 1 << 64:
@@ -221,12 +196,12 @@ def classify(m: int, factors=None,
         fac = _normalize_factors(m, factors)
 
     if fac.is_prime:
-        mu, rb, margin = window_margin(m, l0 + 2, policy)
-        if margin < 0:
+        d = window_margin(m, l0 + 2, policy)
+        if d.margin < 0:
             raise InternalInvariantError(
                 f"prime candidate {m} shows a positive window excess")
         return Verdict(m, l0, w, KIND_I, VERDICT_EXCEPTIONAL, 2, l0 + 2,
-                       mu_hat=mu, rb=rb, margin=margin)
+                       mu_hat=d.mu_max, rb=d.rb, margin=d.margin)
 
     primes = fac.prime_list()
     if len(primes) == 2 and primes[0] == primes[1]:
@@ -239,14 +214,15 @@ def classify(m: int, factors=None,
     pq = fac.distinct_semiprime
     if pq is not None and pq[1] <= 4 * pq[0] - 5:
         p, q = pq
-        mu_hat, rb, margin = _semiprime_margin(p, q, l0, policy)
-        exceptional = margin >= 0
+        d = decide(m, l0 + 2, lambda: max(semiprime_candidates(p, q, l0)),
+                   lambda digits: max(semiprime_candidates(p, q, l0, digits=digits)),
+                   policy)
         return Verdict(
             m, l0, w, KIND_II,
-            VERDICT_EXCEPTIONAL if exceptional else VERDICT_ORDINARY,
-            2 if exceptional else 0,
-            l0 + 2 if exceptional else l0,
-            p=p, q=q, mu_hat=mu_hat, rb=rb, margin=margin,
+            VERDICT_EXCEPTIONAL if d.is_ramanujan else VERDICT_ORDINARY,
+            2 if d.is_ramanujan else 0,
+            l0 + 2 if d.is_ramanujan else l0,
+            p=p, q=q, mu_hat=d.mu_max, rb=d.rb, margin=d.margin,
             near_threshold=_near_threshold(p, q, w.c))
 
     ## remaining composites: cofactor t = m/p over the least prime p is

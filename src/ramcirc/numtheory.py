@@ -408,6 +408,8 @@ def count_poly(coeffs, x: int, mode: str = "prime") -> int:
     """Count 1 <= k <= x with f(k) prime, or a distinct-prime semiprime."""
     if mode not in ("prime", "semiprime_distinct"):
         raise ValidationError("mode must be 'prime' or 'semiprime_distinct'")
+    if x > DEFAULT_BUDGET:
+        raise BudgetExceededError(x, DEFAULT_BUDGET, "polynomial values")
     total = 0
     for k in range(1, x + 1):
         n = poly_eval(coeffs, k)

@@ -1,10 +1,11 @@
-"""Working-precision policy and exact-argument trigonometry.
+"""Working-precision policy, exact-argument trigonometry and decide.
 
 IEEE doubles decide almost every comparison in this package.  Whenever a
 margin lands inside the escalation window, the comparison is re-evaluated
 with mpmath at a configurable number of digits, and every trigonometric
 argument is first reduced modulo the period in exact integer arithmetic so
-that accuracy survives moduli around 10**13 and far beyond.
+that accuracy survives moduli around 10**13 and far beyond.  decide is
+the one place where a Ramanujan comparison takes that route.
 """
 
 from __future__ import annotations
@@ -84,3 +85,48 @@ def refine_margin(margin_fn, policy: NumericPolicy, start_digits: int,
         if digits >= MAX_DIGITS:
             return float(val), digits, False
         digits = min(2 * digits, MAX_DIGITS)
+
+
+@dataclass(frozen=True)
+class RamanujanDecision:
+    is_ramanujan: bool
+    mu_max: float
+    rb: float
+    margin: float
+    escalated: bool
+    digits: int | None = None
+    resolved: bool = True
+
+
+def decide(m: int, l: int, mu_double, mu_mp,
+           policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
+    """Decide mu <= 2*sqrt(m - l - 1) for a spectral maximum mu.
+
+    mu_double() gives mu in doubles and is used while m is at most
+    AUTO_EXTENDED_THRESHOLD and the margin clears the escalation window;
+    otherwise mu_mp(digits) gives mu at the current mpmath precision and
+    refine_margin raises the digits until the margin is resolved.  The
+    comparison is non-strict, and a margin no precision resolves is an
+    exact tie: it is reported as 0.0, unresolved, and counts as Ramanujan.
+    """
+    if m <= AUTO_EXTENDED_THRESHOLD:
+        mu = mu_double()
+        rb = 2.0 * math.sqrt(m - l - 1)
+        margin = rb - mu
+        if abs(margin) >= policy.escalation_margin:
+            return RamanujanDecision(margin >= 0.0, mu, rb, margin,
+                                     escalated=False)
+    ## mu and rb of the final pass, reported without a second evaluation
+    last = {}
+
+    def margin_fn(digits):
+        last["mu"], last["rb"] = mu_mp(digits), 2 * mp.sqrt(m - l - 1)
+        return last["rb"] - last["mu"]
+
+    margin, digits, resolved = refine_margin(
+        margin_fn, policy, policy.start_digits(m), scale=max(1.0, math.sqrt(m)))
+    if not resolved:
+        margin = 0.0
+    return RamanujanDecision(margin >= 0.0, float(last["mu"]), float(last["rb"]),
+                             margin, escalated=True, digits=digits,
+                             resolved=resolved)

@@ -20,15 +20,15 @@ from math import gcd
 
 import mpmath as mp
 
-from .errors import ValidationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .precision import (
-    AUTO_EXTENDED_THRESHOLD,
     DEFAULT_POLICY,
     NumericPolicy,
+    RamanujanDecision,
     cos2pi_frac,
+    decide,
     mp_cos2pi_frac,
     mp_sinpi_frac,
-    refine_margin,
 )
 
 
@@ -116,17 +116,6 @@ class Spectrum:
     rb: float
 
 
-@dataclass(frozen=True)
-class RamanujanDecision:
-    is_ramanujan: bool
-    mu_max: float
-    rb: float
-    margin: float
-    escalated: bool
-    digits: int | None = None
-    resolved: bool = True
-
-
 def window_complement(m: int, l: int) -> CayleySet:
     """The canonical complement {0, +-1, ..., +-(l-1)/2} at covalency l."""
     check_covalency(m, l)
@@ -143,8 +132,16 @@ def eigenvalue(cayley: CayleySet, j: int) -> float:
     return -sum(cos2pi_frac(b * j, m) for b in cayley.complement)
 
 
+def _check_budget(cayley: CayleySet) -> None:
+    """Refuse a spectrum of more than DEFAULT_BUDGET cosine terms."""
+    terms = (cayley.m - 1) // 2 * cayley.covalency
+    if terms > DEFAULT_BUDGET:
+        raise BudgetExceededError(terms, DEFAULT_BUDGET, "cosine terms")
+
+
 def spectrum(cayley: CayleySet) -> Spectrum:
     """All m eigenvalues; mirrored indices share one evaluation exactly."""
+    _check_budget(cayley)
     m = cayley.m
     values = [0.0] * m
     values[0] = float(cayley.valency)
@@ -184,6 +181,7 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
 
 def _mp_mu_max(cayley: CayleySet):
     """max_j |mu_j| over j = 1..(m-1)/2 at the current mpmath precision."""
+    _check_budget(cayley)
     m = cayley.m
     best = mp.mpf(0)
     comp = sorted(cayley.complement)
@@ -196,29 +194,10 @@ def _mp_mu_max(cayley: CayleySet):
 
 def is_ramanujan(cayley: CayleySet,
                  policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
-    """Decide mu_max <= 2*sqrt(k-1), escalating borderline margins.
+    """Decide mu_max <= 2*sqrt(k-1) through precision.decide.
 
     The comparison is non-strict: an exact tie counts as Ramanujan.
     """
-    m = cayley.m
-    l = cayley.covalency
-    if m <= AUTO_EXTENDED_THRESHOLD:
-        spec = spectrum(cayley)
-        margin = spec.rb - spec.mu_max
-        if abs(margin) >= policy.escalation_margin:
-            return RamanujanDecision(margin >= 0.0, spec.mu_max, spec.rb, margin,
-                                     escalated=False)
-
-    def margin_fn(_digits):
-        return 2 * mp.sqrt(m - l - 1) - _mp_mu_max(cayley)
-
-    margin, digits, resolved = refine_margin(
-        margin_fn, policy, policy.start_digits(m), scale=max(1.0, math.sqrt(m)))
-    with mp.workdps(digits):
-        mu_max = float(_mp_mu_max(cayley))
-        rb = float(2 * mp.sqrt(m - l - 1))
-    ## an unresolvable margin is an exact tie for our purposes, and the
-    ## comparison is non-strict, so a tie is Ramanujan
-    verdict = margin >= 0.0 or not resolved
-    return RamanujanDecision(verdict, mu_max, rb, margin,
-                             escalated=True, digits=digits, resolved=resolved)
+    return decide(cayley.m, cayley.covalency,
+                  lambda: spectrum(cayley).mu_max,
+                  lambda _digits: _mp_mu_max(cayley), policy)

@@ -16,6 +16,7 @@ from ramcirc.abelian import (
 )
 from ramcirc.errors import ValidationError
 from ramcirc.numtheory import sieve_primes
+from ramcirc.precision import MAX_DIGITS
 from ramcirc.spectra import CayleySet, is_ramanujan, spectrum
 
 
@@ -103,7 +104,10 @@ class TestSpectrumValues:
         cyc = CayleySet.from_pairs(45, pairs)
         assert cyc.covalency == 19
         assert spectrum(cyc).values[15] == pytest.approx(-10.0, abs=1e-12)
-        assert is_ramanujan(cyc).is_ramanujan
+        d = is_ramanujan(cyc)
+        assert d.is_ramanujan
+        assert d.escalated and not d.resolved
+        assert d.margin == 0.0 and d.digits == MAX_DIGITS
         s = AbelianCayleySet.from_pairs(AbelianGroup((45,)), [(a,) for a in pairs])
         assert abelian_is_ramanujan(s)
 

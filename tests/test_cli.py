@@ -211,6 +211,18 @@ class TestBudget:
         assert code == 2
         assert "budget" in err
 
+    def test_spectrum_over_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, "spectrum", "10000000000001",
+                             "--complement", "0")
+        assert code == 2 and out == ""
+        assert "budget" in err and "Traceback" not in err
+
+    def test_count_poly_over_budget_exits_2(self, capsys):
+        code, out, err = run(capsys, "count", "poly", "--coeffs", "1,5,1",
+                             "--x", "100000000000")
+        assert code == 2 and out == ""
+        assert "budget" in err
+
 
 class TestHlconst:
     def test_reference_pass(self, capsys):

@@ -163,6 +163,7 @@ class TestRamanujanPredicate:
         assert d.mu_max == pytest.approx(4.574329190217505, abs=1e-12)
         assert d.rb == pytest.approx(4.47213595499958, abs=1e-12)
         assert d.margin == pytest.approx(-0.10219323521792578, abs=1e-12)
+        assert d.escalated is False and d.digits is None
 
     def test_decision_is_nonstrict(self):
         ## covalency m-2 keeps a single pair: the graph is a cycle, whose
