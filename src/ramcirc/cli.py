@@ -47,7 +47,7 @@ from .numtheory import (
 )
 from .oracle import DEFAULT_BUDGET, hat_l_exhaustive
 from .precision import DEFAULT_POLICY, NumericPolicy
-from .spectra import CayleySet, is_ramanujan, spectrum
+from .spectra import CayleySet, decide_spectrum, spectrum
 
 
 def _policy(args) -> NumericPolicy:
@@ -164,7 +164,7 @@ def cmd_scan(args) -> int:
 def cmd_spectrum(args) -> int:
     cay = CayleySet.from_residues(args.m, _int_list(args.complement))
     spec = spectrum(cay)
-    decision = is_ramanujan(cay, policy=_policy(args))
+    decision = decide_spectrum(cay, spec, _policy(args))
     half = spec.values[: (args.m - 1) // 2 + 1]
     payload = {
         "m": args.m, "complement": cay.residues(), "valency": cay.valency,

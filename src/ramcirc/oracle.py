@@ -3,9 +3,11 @@
 A complement class is the set of all negation-closed complements of odd
 size l containing the identity.  One engine enumerates it for any odd
 abelian group, given by its invariant factors (Z_m is the rank-1 case
-(m,)): index combinations of the negation pairs are scanned in
-vectorised chunks against a table of pair characters, since chi and
--chi agree on a symmetric set.  Raw class sizes grow as
+(m,)), against one table of pair characters, since chi and -chi agree
+on a symmetric set.  The removed pairs are combined in lexicographic
+order, in numpy chunks with shared prefixes: a set's character sums
+are its prefix's sums plus one table row, and a chunk bounds
+combinations x characters at one level.  Raw class sizes grow as
 C((|G|-1)/2, (l-1)/2), so every scan is gated by an explicit budget.
 
 Everything here is deliberately independent of the closed-form route:
@@ -17,7 +19,6 @@ are Ramanujan without scanning.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from math import comb, gcd
@@ -43,9 +44,9 @@ from .spectra import (
     window_complement,
 )
 
-## chunk size for the vectorised scans, in doubles of the largest
-## intermediate (the rows x pairs x characters gather)
-_CHUNK_FLOATS = 2_000_000
+## chunk size for the vectorised scans, in doubles of one level's sums
+## (combinations x characters); a scan holds r such levels at once
+_CHUNK_FLOATS = 1 << 17
 
 ## |mu| within this of the bound gets re-decided by an exact predicate
 _BORDER_TOL = 1e-9
@@ -88,16 +89,56 @@ def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
     ## r removed pairs can cover only kernels with at most r pairs outside
     cover = outside[:, outside.sum(axis=0) <= r]
     cover_size = cover.sum(axis=0)
-    rows = max(1, _CHUNK_FLOATS // max(1, h * max(1, r)))
-    combos = itertools.combinations(range(h), r)
-    while chunk := list(itertools.islice(combos, rows)):
-        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
+    ## phases is symmetric, so column i of P is pair i's character row
+    for idx, S in _combo_sums(P, r, max(1, _CHUNK_FLOATS // h)):
+        ## fl(x + 1) is monotone in x, so this is max |S + 1| bit for bit
+        absmax = np.maximum(S.max(axis=0) + 1.0, -(S.min(axis=0) + 1.0))
         if cover.shape[1]:
-            idx = idx[~(cover[idx].sum(axis=1) == cover_size).any(axis=1)]
-            if idx.shape[0] == 0:
+            keep = ~(cover[idx].sum(axis=1) == cover_size).any(axis=1)
+            if not keep.any():
                 continue
-        mu = -(1.0 + P[idx].sum(axis=1))
-        yield R[idx], np.abs(mu).max(axis=1)
+            idx, absmax = idx[keep], absmax[keep]
+        yield R[idx], absmax
+
+
+def _combo_sums(P: np.ndarray, r: int, rows: int):
+    """Yield (idx, S) chunks over every r-combination of the columns of P.
+
+    The combinations idx[k] = (i0, ..., i_{r-1}) come in lexicographic
+    order, and S[:, k] = ((P[:, i0] + P[:, i1]) + ...) + P[:, i_{r-1}].
+    They grow one index at a time with shared prefixes (Knuth, TAOCP
+    7.2.1.3): a j-combination ending at c has the children c + 1 ..
+    h - r + j, each costing its parent's sums plus one column of P.
+    Each level holds at most max(rows, h) combinations at once; sums
+    are kept one combination per column, so that reducing over the
+    characters runs along contiguous rows.
+    """
+    h = P.shape[1]
+    if r == 0:
+        yield np.empty((1, 0), dtype=np.intp), np.zeros((len(P), 1))
+        return
+
+    def grow(idx, S):
+        j = len(idx)
+        if j == r:
+            yield idx.T, S
+            return
+        last = idx[-1]
+        kids = h - r + j - last
+        ends = np.cumsum(kids)
+        shift = last + 1 - (ends - kids)
+        lo = 0
+        while lo < len(last):
+            start = int(ends[lo] - kids[lo])
+            hi = max(lo + 1, int(np.searchsorted(ends, start + rows, side="right")))
+            pid = np.repeat(np.arange(lo, hi), kids[lo:hi])
+            child = np.arange(start, int(ends[hi - 1])) + shift[pid]
+            yield from grow(np.concatenate((idx.take(pid, axis=1), child[None])),
+                            S.take(pid, axis=1) + P.take(child, axis=1))
+            lo = hi
+
+    top = np.arange(h - r + 1)
+    yield from grow(top[None, :], P[:, : h - r + 1])
 
 
 def class_clean(orders: tuple[int, ...], l: int, budget: int, exact) -> bool:

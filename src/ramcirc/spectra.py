@@ -192,12 +192,17 @@ def _mp_mu_max(cayley: CayleySet):
     return best
 
 
+def decide_spectrum(cayley: CayleySet, spec: Spectrum,
+                    policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
+    """is_ramanujan(cayley) for a set whose spectrum spec is already known."""
+    return decide(cayley.m, cayley.covalency, lambda: spec.mu_max,
+                  lambda _digits: _mp_mu_max(cayley), policy)
+
+
 def is_ramanujan(cayley: CayleySet,
                  policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
     """Decide mu_max <= 2*sqrt(k-1) through precision.decide.
 
     The comparison is non-strict: an exact tie counts as Ramanujan.
     """
-    return decide(cayley.m, cayley.covalency,
-                  lambda: spectrum(cayley).mu_max,
-                  lambda _digits: _mp_mu_max(cayley), policy)
+    return decide_spectrum(cayley, spectrum(cayley), policy)

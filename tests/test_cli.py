@@ -9,6 +9,7 @@ import csv
 import io
 import json
 
+from ramcirc import cli, spectra
 from ramcirc.abelian import AbelianGroup, abelian_hat_l
 from ramcirc.classify import classify
 from ramcirc.cli import main
@@ -124,6 +125,21 @@ class TestSpectrum:
         assert len(got["mu"]) == 8  # mu_0 .. mu_7
         assert got["mu_max"] == dec.mu_max
         assert got["is_ramanujan"] is True
+
+    def test_spectrum_computed_once(self, capsys, monkeypatch):
+        ## the Ramanujan decision reuses the printed spectrum's mu_max
+        calls, original = [], spectra.spectrum
+
+        def counting(cayley):
+            calls.append(cayley)
+            return original(cayley)
+
+        monkeypatch.setattr(spectra, "spectrum", counting)
+        monkeypatch.setattr(cli, "spectrum", counting)
+        for argv in (("spectrum",), ("--json", "spectrum")):
+            calls.clear()
+            code, _, _ = run(capsys, *argv, "15", "--complement", "0,1,14")
+            assert code == 0 and len(calls) == 1, argv
 
     def test_complement_must_contain_zero(self, capsys):
         code, _, err = run(capsys, "spectrum", "15", "--complement", "1,14")

@@ -3,8 +3,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from ramcirc import oracle
 from ramcirc.abelian import AbelianGroup
 from ramcirc.classify import classify
 from ramcirc.errors import BudgetExceededError, ValidationError
@@ -84,6 +86,57 @@ class TestScanFilter:
                     assert kept == {t for t in combos if _passes_gcd_check(g.order, t)}
 
 
+class TestScanEngine:
+    ## every odd abelian group of order at most 27
+    GROUPS = [(m,) for m in range(3, 28, 2)] + [(3, 3), (5, 5), (3, 9), (3, 3, 3)]
+
+    def test_matches_reference_in_order_and_bits(self, monkeypatch):
+        cases = [(g, l) for g in self.GROUPS for l in range(1, math.prod(g) - 1, 2)]
+        ## Z7xZ7 has 24 pairs; its classes of more than 2e5 sets would take
+        ## the reference tens of seconds together
+        cases += [((7, 7), l) for l in range(1, 48, 2) if math.comb(24, (l - 1) // 2) < 2e5]
+        for orders, l in cases:
+            _assert_same_scan(orders, l)
+        ## a few combinations per chunk put a chunk seam at every level
+        monkeypatch.setattr(oracle, "_CHUNK_FLOATS", 64)
+        for orders in self.GROUPS:
+            for l in range(1, math.prod(orders) - 1, 2):
+                _assert_same_scan(orders, l)
+
+    def test_chunks_stay_within_the_row_bound(self):
+        for orders, l in (((65,), 15), ((7, 7), 25)):
+            h = (math.prod(orders) - 1) // 2
+            rows = [len(absmax) for _, absmax in scan_class(orders, l)]
+            assert sum(rows) == math.comb(h, (l - 1) // 2)
+            assert max(rows) <= oracle._CHUNK_FLOATS // h, orders
+
+
+def _reference_scan(orders, l):
+    """The scan as a plain loop: itertools combinations, then r-row sums."""
+    L = orders[-1]
+    E = np.indices(orders).reshape(len(orders), -1).T
+    R = E[np.arange(len(E)) < np.ravel_multi_index((-E % orders).T, orders)]
+    phases = ((R * (L // np.array(orders))) @ R.T) % L
+    P = 2.0 * np.cos((2.0 * math.pi / L) * phases)
+    r = (l - 1) // 2
+    outside = phases != 0
+    cover = outside[:, outside.sum(axis=0) <= r]
+    combos = itertools.combinations(range(len(R)), r)
+    while chunk := list(itertools.islice(combos, 4096)):
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), r)
+        idx = idx[~(cover[idx].sum(axis=1) == cover.sum(axis=0)).any(axis=1)]
+        yield R[idx], np.abs(-(1.0 + P[idx].sum(axis=1))).max(axis=1)
+
+
+def _assert_same_scan(orders, l):
+    ## chunk seams differ, so compare the concatenated bytes
+    got, want = list(scan_class(orders, l)), list(_reference_scan(orders, l))
+    for part in (0, 1):
+        assert (b"".join(c[part].tobytes() for c in got)
+                == b"".join(c[part].tobytes() for c in want)), (orders, l, part)
+    assert sum(len(a) for _, a in got) == sum(len(a) for _, a in want), (orders, l)
+
+
 def _passes_gcd_check(m, t):
     """Whether CayleySet accepts the rank-1 complement t (its gcd check)."""
     try:
@@ -135,7 +188,7 @@ class TestHatL:
         assert hat_l_exhaustive(55) == 13
 
     def test_agrees_with_classifier_on_midrange(self):
-        for m in range(57, 70, 2):
+        for m in range(57, 82, 2):
             assert hat_l_exhaustive(m) == classify(m).hat_l, m
 
 
