@@ -12,6 +12,9 @@ one extra step for p in {7, 11, 13, 17} and two for p = 5, and every
 other non-cyclic group is ordinary with hat_l = l0.  abelian_oracle
 checks this by exhaustion on the enumeration engine of ramcirc.oracle,
 which treats Z_m as the rank-1 case.
+
+Cayley sets, spectra and the Ramanujan predicate are ramcirc.spectra's,
+whose CayleySet takes an AbelianGroup; the abelian_* names alias them.
 """
 
 from __future__ import annotations
@@ -20,14 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .bounds import trivial_bound
 from .classify import Verdict, classify
 from .errors import DEFAULT_BUDGET, InternalInvariantError, ValidationError
 from .numtheory import is_prime
 from .oracle import class_clean, climb
-from .precision import cos2pi_frac, decide, mp_cos2pi_frac
+from .spectra import CayleySet, eigenvalue, is_ramanujan, spectrum
 
 KIND_CYCLIC = "cyclic"
 KIND_PP = "prime_square_group"
@@ -82,7 +83,11 @@ class AbelianGroup:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
 
     def spans(self, gens) -> bool:
-        """Whether the given elements generate the whole group."""
+        """Whether the given elements generate the whole group.
+
+        A breadth-first search, kept as the tests' reference for the
+        character-kernel rule that CayleySet and the oracle apply.
+        """
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:
@@ -97,110 +102,18 @@ class AbelianGroup:
         return len(seen) == self.order
 
 
-@dataclass(frozen=True)
-class AbelianCayleySet:
-    """A symmetric connected Cayley set on G, stored via its complement.
-
-    complement = T contains the identity, is closed under negation and
-    has odd size l (the covalency) with 1 <= l <= |G| - 2; the
-    connection set S = G \\ T must generate G.
-    """
-
-    group: AbelianGroup
-    complement: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        G = self.group
-        tset = set(self.complement)
-        if len(tset) != len(self.complement) or list(self.complement) != sorted(tset):
-            raise ValidationError("complement must be sorted and duplicate-free")
-        for t in self.complement:
-            if len(t) != len(G.orders) or any(
-                    not 0 <= x < n for x, n in zip(t, G.orders)):
-                raise ValidationError(f"element {t} is not in canonical form")
-            if G.negate(t) not in tset:
-                raise ValidationError("complement must be closed under negation")
-        if G.identity not in tset:
-            raise ValidationError("complement must contain the identity")
-        l = len(tset)
-        if not 1 <= l <= G.order - 2:
-            raise ValidationError(f"covalency {l} outside [1, {G.order - 2}]")
-        if not G.spans([e for e in G.elements() if e not in tset]):
-            raise ValidationError("connection set does not generate the group")
-
-    @classmethod
-    def from_pairs(cls, group: AbelianGroup, reps) -> "AbelianCayleySet":
-        """Build from negation-pair representatives (identity added)."""
-        tset = {group.identity}
-        for t in reps:
-            t = tuple(int(x) % n for x, n in zip(t, group.orders))
-            tset.add(t)
-            tset.add(group.negate(t))
-        return cls(group, tuple(sorted(tset)))
-
-    @property
-    def covalency(self) -> int:
-        return len(self.complement)
-
-    @property
-    def valency(self) -> int:
-        return self.group.order - self.covalency
+AbelianCayleySet = CayleySet
+abelian_eigenvalue = eigenvalue
 
 
-def _phases(cayley: AbelianCayleySet, chi) -> list[int]:
-    """<chi, t> for every t in the complement, exactly, in units of 1/exponent."""
-    G = cayley.group
-    L = G.exponent
-    weights = [L // n for n in G.orders]
-    return [sum(c * x * w for c, x, w in zip(chi, t, weights)) % L
-            for t in cayley.complement]
-
-
-def abelian_eigenvalue(cayley: AbelianCayleySet, chi) -> float:
-    """The eigenvalue of the character chi = (c1, ..., cr).
-
-    The trivial character gives the valency; otherwise the value is
-    -sum_{t in T} cos(2 pi <chi, t>), real because T is symmetric.
-    Phases are reduced exactly over the group exponent before any
-    floating-point work.
-    """
-    G = cayley.group
-    chi = tuple(int(c) % n for c, n in zip(chi, G.orders))
-    if len(chi) != len(G.orders):
-        raise ValidationError("character length does not match the group rank")
-    if all(c == 0 for c in chi):
-        return float(cayley.valency)
-    acc = 0.0
-    for num in _phases(cayley, chi):
-        acc += cos2pi_frac(num, G.exponent)
-    return -acc
-
-
-def abelian_spectrum(cayley: AbelianCayleySet) -> list[float]:
+def abelian_spectrum(cayley: CayleySet) -> list[float]:
     """All |G| eigenvalues, ordered by the character tuples."""
-    return [abelian_eigenvalue(cayley, chi)
-            for chi in itertools.product(*(range(n) for n in cayley.group.orders))]
+    return list(spectrum(cayley).values)
 
 
-def abelian_is_ramanujan(cayley: AbelianCayleySet) -> bool:
-    """Whether every nontrivial eigenvalue clears 2*sqrt(valency - 1).
-
-    precision.decide settles the comparison, recomputing margins inside
-    the escalation window from the exact phase data; the comparison is
-    non-strict and a tie counts as Ramanujan, as in spectra.is_ramanujan.
-    """
-    G = cayley.group
-    chars = [chi for chi in itertools.product(*(range(n) for n in G.orders))
-             if any(chi)]
-
-    def mu_mp(_digits):
-        return max(abs(mp.fsum(mp_cos2pi_frac(num, G.exponent)
-                               for num in _phases(cayley, chi)))
-                   for chi in chars)
-
-    return decide(G.order, cayley.covalency,
-                  lambda: max(abs(abelian_eigenvalue(cayley, chi)) for chi in chars),
-                  mu_mp).is_ramanujan
+def abelian_is_ramanujan(cayley: CayleySet) -> bool:
+    """Whether is_ramanujan accepts cayley, as a bool: a decision is always truthy."""
+    return is_ramanujan(cayley).is_ramanujan
 
 
 ## ------------------------------------------------- prime-square excess
@@ -304,9 +217,5 @@ def abelian_oracle(group: AbelianGroup, l_max: int | None = None,
     m = group.order
     if m > 49:
         raise ValidationError("the exhaustive oracle is limited to |G| <= 49")
-
-    def exact(reps):
-        return abelian_is_ramanujan(AbelianCayleySet.from_pairs(group, reps))
-
     return climb(m, m - 2 if l_max is None else l_max,
-                 lambda l: class_clean(group.orders, l, budget, exact))
+                 lambda l: class_clean(group, l, budget))

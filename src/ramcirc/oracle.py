@@ -39,7 +39,9 @@ from .spectra import (
     CayleySet,
     check_covalency,
     check_modulus,
+    elements,
     is_ramanujan,
+    phase_table,
     ramanujan_bound,
     window_complement,
 )
@@ -69,22 +71,22 @@ def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
     G has invariant factors orders and l is an odd covalency in
     [1, |G| - 2]; callers validate both.  Each negation pair is
     represented by its first element in product order (for Z_m, i + 1),
-    and the same representatives index the pair characters:
-    phases[i, j] = <rep_j, rep_i> in units of 1/exponent.  reps[k] holds
-    one complement's removed representatives and absmax[k] its largest
-    |lambda_chi|.  Every proper subgroup lies in a character kernel, so
-    a complement that removes every pair outside some kernel leaves a
-    kept set that does not generate G; such rows are dropped.
+    and the same representatives index the pair characters in
+    spectra.phase_table: phases[i, j] = <rep_j, rep_i> in units of
+    1/exponent.  reps[k] holds one complement's removed representatives
+    and absmax[k] its largest |lambda_chi|.  Every proper subgroup lies
+    in a character kernel, so a complement that removes every pair
+    outside some kernel leaves a kept set that does not generate G; such
+    rows are dropped.
     """
-    L = orders[-1]
-    E = np.indices(orders).reshape(len(orders), -1).T
-    R = E[np.arange(len(E)) < np.ravel_multi_index((-E % orders).T, orders)]
-    phases = ((R * (L // np.array(orders))) @ R.T) % L
-    h, r = len(R), (l - 1) // 2
+    h, r = (math.prod(orders) - 1) // 2, (l - 1) // 2
     size = comb(h, r)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    P = 2.0 * np.cos((2.0 * math.pi / L) * phases)
+    E = elements(orders)
+    R = E[np.arange(len(E)) < np.ravel_multi_index((-E % orders).T, orders)]
+    phases = phase_table(orders, R, R)
+    P = 2.0 * np.cos((2.0 * math.pi / orders[-1]) * phases)
     outside = phases != 0
     ## r removed pairs can cover only kernels with at most r pairs outside
     cover = outside[:, outside.sum(axis=0) <= r]
@@ -141,19 +143,21 @@ def _combo_sums(P: np.ndarray, r: int, rows: int):
     yield from grow(top[None, :], P[:, : h - r + 1])
 
 
-def class_clean(orders: tuple[int, ...], l: int, budget: int, exact) -> bool:
+def class_clean(group, l: int, budget: int,
+                policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """Whether no connected complement of covalency l breaks the bound.
 
+    group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
     Rows within _BORDER_TOL of 2*sqrt(|G| - l - 1) are re-decided by
-    exact(reps), the group's extended-precision Ramanujan predicate.
-    An empty class counts as clean.
+    is_ramanujan.  An empty class counts as clean.
     """
+    orders = (group,) if isinstance(group, int) else group.orders
     rb = 2.0 * math.sqrt(math.prod(orders) - l - 1)
     for reps, absmax in scan_class(orders, l, budget):
         if np.any(absmax > rb + _BORDER_TOL):
             return False
         for i in np.nonzero(absmax > rb - _BORDER_TOL)[0]:
-            if not exact(reps[i]):
+            if not is_ramanujan(_cayley(group, reps[i]), policy).is_ramanujan:
                 return False
     return True
 
@@ -172,8 +176,9 @@ def climb(m: int, l_max: int, clean) -> int:
     return hat
 
 
-def _cayley(m: int, reps: np.ndarray) -> CayleySet:
-    return CayleySet.from_pairs(m, reps[:, 0].tolist())
+def _cayley(group, reps: np.ndarray) -> CayleySet:
+    return CayleySet.from_pairs(
+        group, reps[:, 0].tolist() if isinstance(group, int) else reps)
 
 
 def enumerate_class(m: int, l: int, budget: int = DEFAULT_BUDGET):
@@ -246,8 +251,7 @@ def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET,
     for s in _suspects(m, l):
         if not is_ramanujan(s, policy=policy).is_ramanujan:
             return False
-    return class_clean((m,), l, budget, lambda reps: is_ramanujan(
-        _cayley(m, reps), policy=policy).is_ramanujan)
+    return class_clean(m, l, budget, policy)
 
 
 def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET,

@@ -52,11 +52,6 @@ DEFAULT_POLICY = NumericPolicy()
 MAX_DIGITS = 400
 
 
-def cos2pi_frac(num: int, den: int) -> float:
-    """cos(2*pi*num/den) with the argument reduced mod den exactly."""
-    return math.cos(math.tau * ((num % den) / den))
-
-
 def mp_cos2pi_frac(num: int, den: int):
     """cos(2*pi*num/den) at the current mpmath precision, exact reduction."""
     return mp.cospi(mp.mpf(2 * (num % den)) / den)

@@ -1,35 +1,49 @@
-"""Circulant-graph spectra and the Ramanujan predicate.
+"""Cayley-graph spectra on odd abelian groups and the Ramanujan predicate.
 
-A circulant graph on Z_m (m odd) is described here through the complement
-of its symmetric connection set: the set T of removed residues together
-with 0.  For the regimes this package studies the complement is the small
-side, so every eigenvalue is computed as minus a cosine sum over T,
+A Cayley graph on Z_m (m odd, int residues as elements) or on an
+abelian.AbelianGroup (tuple elements; Z_m is the rank-1 group (m,)) is
+described here through the complement of its symmetric connection set:
+the set T of removed elements together with the identity.  For the
+regimes this package studies the complement is the small side, so every
+eigenvalue is computed as minus a character sum over T,
 
-    mu_j = -sum_{b in T} cos(2*pi*b*j/m),        j = 0, ..., m-1,
+    mu_chi = -sum_{t in T} cos(2*pi*<chi, t>)   (mu_j = -sum_{b in T} cos(2*pi*b*j/m) on Z_m),
 
-with mu_0 = m - |T| the valency.  A graph of valency k is Ramanujan when
-max_{j>0} |mu_j| <= 2*sqrt(k-1); the comparison is non-strict and
-borderline margins escalate to extended precision.
+with mu_0 = |G| - |T| the valency and <chi, t> an exact integer phase
+in units of 1/exponent, from phase_table, which ramcirc.oracle shares.
+A graph of valency k is Ramanujan when max_{chi != 0} |mu_chi| <=
+2*sqrt(k-1); the comparison is non-strict and borderline margins
+escalate to extended precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import mpmath as mp
+import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from .precision import (
     DEFAULT_POLICY,
     NumericPolicy,
     RamanujanDecision,
-    cos2pi_frac,
     decide,
     mp_cos2pi_frac,
     mp_sinpi_frac,
 )
+
+if TYPE_CHECKING:
+    from .abelian import AbelianGroup
+
+## entries of one block of a phase table held at once
+_BLOCK = 1 << 17
+
+## groups up to this order keep their spectrum tables between calls
+_CACHED_ORDER = 1 << 12
 
 
 def check_modulus(m: int) -> None:
@@ -43,56 +57,95 @@ def check_covalency(m: int, l: int) -> None:
         raise ValidationError(f"covalency must be odd in [1, m-2], got {l}")
 
 
+def elements(orders: tuple[int, ...]) -> np.ndarray:
+    """Every element of the group as a row, in product order (on Z_m, row k is k)."""
+    return np.indices(orders).reshape(len(orders), -1).T
+
+
+def phase_table(orders: tuple[int, ...], chars: np.ndarray,
+                elems: np.ndarray) -> np.ndarray:
+    """[i, k] = <chars[i], elems[k]> exactly, in units of 1/exponent; a
+    character takes the coordinates of an element, G being its own dual."""
+    L = orders[-1]
+    return ((chars * (L // np.array(orders))) @ elems.T) % L
+
+
+def _rows(items: list, orders: tuple[int, ...]) -> np.ndarray:
+    """Elements as integer rows, in Python ints where int64 could overflow."""
+    dtype = np.int64 if orders[-1] < 1 << 31 else object
+    return np.array(items, dtype=dtype).reshape(len(items), len(orders))
+
+
+def _reduced(group, items: list, sign: int = 1) -> list:
+    """sign * x in canonical form for each item of group: the residues of
+    an odd modulus, or tuples with one entry per invariant factor."""
+    if isinstance(group, int):
+        check_modulus(group)
+        return [sign * x % group for x in items]
+    orders = group.orders
+    if any(len(x) != len(orders) for x in items):
+        raise ValidationError(f"elements of the group {orders} need {len(orders)} entries")
+    return [tuple(sign * int(c) % n for c, n in zip(x, orders)) for x in items]
+
+
 @dataclass(frozen=True)
 class CayleySet:
-    """A symmetric connection set of Z_m stored via its complement.
+    """A symmetric connection set of an odd abelian group via its complement.
 
-    complement holds 0 and the removed residues; it is closed under
-    negation mod m, its size (the covalency) is odd and between 1 and
-    m - 2, and the kept residues generate Z_m.
+    group is an odd modulus m >= 3, for Z_m with int residues in [0, m),
+    or an AbelianGroup with canonical tuples.  complement holds the
+    identity and the removed elements; it is closed under negation, its
+    size (the covalency) is odd and between 1 and |G| - 2, and the kept
+    elements generate G.
     """
 
-    m: int
-    complement: frozenset[int]
+    group: int | AbelianGroup
+    complement: frozenset
 
     def __post_init__(self):
-        check_modulus(self.m)
-        t = self.complement
-        if not all(isinstance(b, int) and 0 <= b < self.m for b in t):
-            raise ValidationError("complement residues must be canonical in [0, m)")
-        if 0 not in t:
-            raise ValidationError("complement must contain 0")
-        if any((self.m - b) % self.m not in t for b in t):
-            raise ValidationError("complement must be closed under negation mod m")
-        l = len(t)
-        if l % 2 == 0 or not 1 <= l <= self.m - 2:
-            raise ValidationError(
-                f"covalency must be odd and within [1, m-2], got {l} for m={self.m}"
-            )
-        g = self.m
-        for a in range(1, self.m):
-            if a not in t:
-                g = gcd(g, a)
-                if g == 1:
-                    break
-        if g != 1:
-            raise ValidationError("kept residues do not generate Z_m")
+        t = frozenset(self.complement)
+        object.__setattr__(self, "complement", t)
+        ## negation maps t onto itself exactly when t is canonical and closed
+        if set(_reduced(self.group, t, -1)) != t:
+            raise ValidationError("complement must be canonical and closed under negation")
+        if (0 if isinstance(self.group, int) else self.group.identity) not in t:
+            raise ValidationError("complement must contain the identity")
+        m, l = self.m, len(t)
+        check_covalency(m, l)
+        ## the character-kernel rule: the kept set lies in a proper subgroup
+        ## exactly when T holds all m - |ker chi| elements outside the kernel
+        ## of some chi != 0; a proper subgroup of an odd-order group has at
+        ## most |G|/3 elements, so a larger kept set generates
+        if 3 * (m - l) <= m:
+            _check_budget(self)
+            orders, chars = self.orders, elements(self.orders)[1:]
+            kernel = m // np.lcm.reduce(np.array(orders) // np.gcd(chars, orders), axis=1)
+            outside = np.concatenate(
+                [(p != 0).sum(axis=1) for p in _phase_blocks(self, chars)])
+            if np.any(2 * outside == m - kernel):
+                raise ValidationError("kept elements do not generate the group")
 
     @classmethod
-    def from_residues(cls, m: int, residues) -> "CayleySet":
-        """Build from any iterable of (possibly signed) removed residues."""
-        check_modulus(m)
-        return cls(m, frozenset(r % m for r in residues))
+    def from_residues(cls, group: int | AbelianGroup, residues) -> CayleySet:
+        """Build from any iterable of removed elements, signed or unreduced."""
+        return cls(group, frozenset(_reduced(group, list(residues))))
 
     @classmethod
-    def from_pairs(cls, m: int, pair_reps) -> "CayleySet":
+    def from_pairs(cls, group: int | AbelianGroup, pair_reps) -> CayleySet:
         """Build from representatives of the removed negation pairs."""
-        check_modulus(m)
-        t = {0}
-        for a in pair_reps:
-            t.add(a % m)
-            t.add((-a) % m)
-        return cls(m, frozenset(t))
+        reps = _reduced(group, list(pair_reps))
+        identity = 0 if isinstance(group, int) else group.identity
+        return cls(group, frozenset([identity, *reps, *_reduced(group, reps, -1)]))
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """Invariant factors of the group; Z_m is (m,)."""
+        return (self.group,) if isinstance(self.group, int) else self.group.orders
+
+    @property
+    def m(self) -> int:
+        """The group order |G|."""
+        return self.group if isinstance(self.group, int) else self.group.order
 
     @property
     def covalency(self) -> int:
@@ -102,9 +155,15 @@ class CayleySet:
     def valency(self) -> int:
         return self.m - len(self.complement)
 
-    def residues(self) -> list[int]:
+    def residues(self) -> list:
         """Canonical sorted complement, the serialization used by the CLI."""
         return sorted(self.complement)
+
+    def _removed_reps(self) -> np.ndarray:
+        """The first element in product order of each removed pair, sorted."""
+        t = self.residues()
+        return _rows([x for x, y in zip(t, _reduced(self.group, t, -1)) if x < y],
+                     self.orders)
 
 
 @dataclass(frozen=True)
@@ -122,14 +181,35 @@ def window_complement(m: int, l: int) -> CayleySet:
     return CayleySet.from_pairs(m, range(1, (l - 1) // 2 + 1))
 
 
-def eigenvalue(cayley: CayleySet, j: int) -> float:
-    """Eigenvalue mu_j via the complement cosine sum; mu_0 is the valency."""
-    m = cayley.m
-    if not 0 <= j < m:
-        raise ValidationError(f"index j must lie in [0, m), got {j}")
-    if j == 0:
+def _cos2(L: int, phases: np.ndarray) -> np.ndarray:
+    """2*cos(2*pi*k/L) for each phase k, evaluated at min(k, L - k) so that
+    chi and -chi, whose phases mirror, get exactly equal values."""
+    return 2.0 * np.cos(np.minimum(phases, L - phases) * (2.0 * math.pi / L))
+
+
+def _tables(orders: tuple[int, ...]):
+    """Every element (the characters, in product order) and _cos2 of every
+    phase 0..L-1, as read-only arrays."""
+    L = orders[-1]
+    tables = elements(orders), _cos2(L, np.arange(L))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+_cached_tables = lru_cache(maxsize=64)(_tables)
+
+
+def eigenvalue(cayley: CayleySet, chi) -> float:
+    """Eigenvalue of the character chi, an index j in [0, m) on Z_m and a
+    canonical tuple on an AbelianGroup; the trivial one gives the valency."""
+    if _reduced(cayley.group, [chi]) != [chi]:
+        raise ValidationError(f"character {chi!r} is not canonical in {cayley.orders}")
+    if not np.any(chi):
         return float(cayley.valency)
-    return -sum(cos2pi_frac(b * j, m) for b in cayley.complement)
+    orders = cayley.orders
+    phases = next(_phase_blocks(cayley, _rows([chi], orders))).astype(float)
+    return float(-1.0 - _cos2(orders[-1], phases).sum())
 
 
 def _check_budget(cayley: CayleySet) -> None:
@@ -139,19 +219,26 @@ def _check_budget(cayley: CayleySet) -> None:
         raise BudgetExceededError(terms, DEFAULT_BUDGET, "cosine terms")
 
 
+def _phase_blocks(cayley: CayleySet, chars: np.ndarray):
+    """Yield the phase table of chars against the removed pairs, in blocks
+    of consecutive characters of at most _BLOCK entries."""
+    cols = cayley._removed_reps()
+    rows = max(1, _BLOCK // max(1, len(cols)))
+    for lo in range(0, len(chars), rows):
+        yield phase_table(cayley.orders, chars[lo:lo + rows], cols)
+
+
 def spectrum(cayley: CayleySet) -> Spectrum:
-    """All m eigenvalues; mirrored indices share one evaluation exactly."""
+    """All |G| eigenvalues, indexed by the characters in product order
+    (on Z_m, mu_j at j)."""
     _check_budget(cayley)
-    m = cayley.m
-    values = [0.0] * m
+    m, orders = cayley.m, cayley.orders
+    E, cos2 = (_cached_tables if m <= _CACHED_ORDER else _tables)(orders)
+    values = np.concatenate([-1.0 - cos2[phases].sum(axis=1)
+                             for phases in _phase_blocks(cayley, E)]).tolist()
     values[0] = float(cayley.valency)
-    for j in range(1, (m - 1) // 2 + 1):
-        v = eigenvalue(cayley, j)
-        values[j] = v
-        values[m - j] = v
-    mu_max = max(abs(v) for v in values[1:])
-    rb = ramanujan_bound(m, cayley.covalency)
-    return Spectrum(m, cayley.valency, tuple(values), mu_max, rb)
+    return Spectrum(m, cayley.valency, tuple(values), max(map(abs, values[1:])),
+                    ramanujan_bound(m, cayley.covalency))
 
 
 def ramanujan_bound(m: int, l: int) -> float:
@@ -180,15 +267,12 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
 
 
 def _mp_mu_max(cayley: CayleySet):
-    """max_j |mu_j| over j = 1..(m-1)/2 at the current mpmath precision."""
+    """max |mu_chi| over chi != 0 at the current mpmath precision."""
     _check_budget(cayley)
-    m = cayley.m
-    best = mp.mpf(0)
-    comp = sorted(cayley.complement)
-    for j in range(1, (m - 1) // 2 + 1):
-        v = abs(-mp.fsum(mp_cos2pi_frac(b * j, m) for b in comp))
-        if v > best:
-            best = v
+    L, best = cayley.orders[-1], mp.mpf(0)
+    for phases in _phase_blocks(cayley, elements(cayley.orders)[1:]):
+        for row in phases.tolist():
+            best = max(best, abs(1 + mp.fsum(2 * mp_cos2pi_frac(k, L) for k in row)))
     return best
 
 

@@ -1,8 +1,11 @@
 """Edge-removal bounds on general odd abelian groups."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ramcirc.abelian import (
     AbelianCayleySet,
@@ -14,9 +17,9 @@ from ramcirc.abelian import (
     abelian_spectrum,
     pp_excess,
 )
-from ramcirc.errors import ValidationError
+from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.numtheory import sieve_primes
-from ramcirc.precision import MAX_DIGITS
+from ramcirc.precision import MAX_DIGITS, NumericPolicy
 from ramcirc.spectra import CayleySet, is_ramanujan, spectrum
 
 
@@ -64,6 +67,42 @@ class TestCayleySet:
         with pytest.raises(ValidationError):
             AbelianCayleySet.from_pairs(g, rest)
 
+    def test_from_pairs_rejects_wrong_length(self):
+        with pytest.raises(ValidationError):
+            AbelianCayleySet.from_pairs(AbelianGroup((3, 3)), [(1, 0, 7)])
+
+    def test_is_the_one_cayley_set_type(self):
+        assert AbelianCayleySet is CayleySet
+
+    def test_large_group_builds_without_bfs(self, monkeypatch):
+        ## a kept set of more than |G|/3 elements always generates, so
+        ## neither the BFS nor a kernel table runs on the construction path
+        def refuse(self, gens):
+            raise AssertionError("spans called")
+
+        monkeypatch.setattr(AbelianGroup, "spans", refuse)
+        s = CayleySet.from_pairs(AbelianGroup((301, 301)), [(1, 0)])
+        assert s.covalency == 3 and s.m == 301 * 301
+        d = is_ramanujan(s)
+        assert d.is_ramanujan and not d.escalated
+        ## a character trivial on the removed pair gives -(1 + 2)
+        assert d.mu_max == pytest.approx(3.0, abs=1e-12)
+
+    def test_huge_group_is_refused_before_any_table(self):
+        g = AbelianGroup((30001, 30001))
+        tracemalloc.start()
+        try:
+            s = CayleySet.from_pairs(g, [(1, 0)])
+            with pytest.raises(BudgetExceededError):
+                is_ramanujan(s)
+            with pytest.raises(BudgetExceededError):
+                abelian_is_ramanujan(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ## |G| is 9e8: one array over the group would take gigabytes
+        assert peak < 1 << 20
+
 
 class TestSpectrumValues:
     def test_trivial_character_gives_valency(self):
@@ -71,6 +110,11 @@ class TestSpectrumValues:
         s = AbelianCayleySet.from_pairs(g, [(1, 0)])
         chars = [(0, 0), (1, 0), (0, 1), (1, 2)]
         assert abelian_eigenvalue(s, chars[0]) == s.valency
+
+    def test_eigenvalue_rejects_wrong_length(self):
+        s = AbelianCayleySet.from_pairs(AbelianGroup((3, 3)), [(1, 0)])
+        with pytest.raises(ValidationError):
+            abelian_eigenvalue(s, (1, 0, 5))
 
     def test_invariants(self):
         g = AbelianGroup((3, 9))
@@ -110,6 +154,61 @@ class TestSpectrumValues:
         assert d.margin == 0.0 and d.digits == MAX_DIGITS
         s = AbelianCayleySet.from_pairs(AbelianGroup((45,)), [(a,) for a in pairs])
         assert abelian_is_ramanujan(s)
+
+    def test_tie_provenance_matches_the_int_form(self):
+        pairs = (1, 3, 4, 6, 7, 9, 12, 15, 18)
+        s = CayleySet.from_pairs(AbelianGroup((45,)), [(a,) for a in pairs])
+        d = is_ramanujan(s)
+        assert d == is_ramanujan(CayleySet.from_pairs(45, pairs))
+        assert d.escalated and not d.resolved
+        assert d.digits == MAX_DIGITS and d.margin == 0.0
+        assert abelian_is_ramanujan(s) is True
+
+    def test_policy_reaches_noncyclic_sets(self):
+        s = CayleySet.from_pairs(AbelianGroup((5, 5)), [(1, 0), (0, 1)])
+        assert not is_ramanujan(s).escalated
+        d = is_ramanujan(s, NumericPolicy(escalation_margin=1e9))
+        assert d.escalated and d.resolved and d.digits is not None
+        assert d.is_ramanujan == is_ramanujan(s).is_ramanujan
+
+
+## every non-cyclic group below 50 the oracle covers
+HYPOTHESIS_GROUPS = [(3, 3), (3, 9), (5, 5), (3, 3, 3), (3, 15), (7, 7)]
+
+
+@st.composite
+def abelian_sets(draw):
+    g = AbelianGroup(draw(st.sampled_from(HYPOTHESIS_GROUPS)))
+    reps = [t for t in g.elements() if t < g.negate(t)]
+    chosen = draw(st.lists(st.sampled_from(reps), unique=True, max_size=len(reps) - 1))
+    try:
+        return CayleySet.from_pairs(g, chosen)
+    except ValidationError:
+        ## the kept set lies in a proper subgroup
+        assume(False)
+
+
+def adjacency(cayley) -> np.ndarray:
+    g = cayley.group
+    elements = g.elements()
+    index = {e: i for i, e in enumerate(elements)}
+    a = np.zeros((g.order, g.order))
+    for i, e in enumerate(elements):
+        for s in elements:
+            if s not in cayley.complement:
+                a[i, index[g.add(e, s)]] = 1.0
+    return a
+
+
+class TestMergedSpectrum:
+    @given(abelian_sets())
+    def test_matches_dense_eigensolver(self, cs):
+        values = spectrum(cs).values
+        dense = np.linalg.eigvalsh(adjacency(cs))
+        assert np.allclose(np.sort(values), dense, atol=1e-8)
+        g = cs.group
+        for i, chi in enumerate(g.elements()):
+            assert values[i] == values[g.elements().index(g.negate(chi))]
 
 
 class TestPackedExcess:

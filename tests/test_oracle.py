@@ -84,6 +84,10 @@ class TestScanFilter:
                 assert kept == spanning, (orders, l)
                 if g.is_cyclic:
                     assert kept == {t for t in combos if _passes_gcd_check(g.order, t)}
+                ## the constructor applies the same rule to the group form
+                accepted = {t for t, c in zip(combos, itertools.combinations(
+                    reps, (l - 1) // 2)) if _accepts(g, c)}
+                assert accepted == spanning, (orders, l)
 
 
 class TestScanEngine:
@@ -138,12 +142,35 @@ def _assert_same_scan(orders, l):
 
 
 def _passes_gcd_check(m, t):
-    """Whether CayleySet accepts the rank-1 complement t (its gcd check)."""
+    """Whether CayleySet accepts the rank-1 complement t in its int form."""
     try:
         CayleySet.from_residues(m, [b for (b,) in t])
     except ValidationError:
         return False
     return True
+
+
+def _accepts(group, pairs):
+    """Whether CayleySet.from_pairs accepts the pair representatives on group."""
+    try:
+        CayleySet.from_pairs(group, pairs)
+    except ValidationError:
+        return False
+    return True
+
+
+class TestBorderRows:
+    def test_exact_redecision_reaches_both_forms(self, monkeypatch):
+        ## with a huge tolerance every row of a class is re-decided by
+        ## is_ramanujan on a CayleySet, of the int form for Z_m and of the
+        ## tuple form for an AbelianGroup; the verdicts must not move
+        cases = [(15, 7), (15, 9), (AbelianGroup((15,)), 7), (AbelianGroup((3, 3)), 5),
+                 (AbelianGroup((5, 5)), 11), (AbelianGroup((5, 5)), 13),
+                 (AbelianGroup((3, 9)), 9)]
+        want = [oracle.class_clean(g, l, 10**6) for g, l in cases]
+        assert want == [True, False, True, True, True, False, False]
+        monkeypatch.setattr(oracle, "_BORDER_TOL", 1e9)
+        assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
 
 
 class TestClassMax:
