@@ -29,12 +29,14 @@ from .bounds import (
     window_excess,
 )
 from .classify import (
+    ExceptionalBuckets,
     OrdinaryWitness,
     ProfilePoint,
     SpectralOrdering,
     Thresholds,
     Verdict,
     classify,
+    count_exceptionals,
     exceptional_orders,
     ordinary_witness,
     profile_point,
@@ -46,12 +48,10 @@ from .classify import (
 )
 from .errors import BudgetExceededError, InternalInvariantError, ValidationError
 from .numtheory import (
-    ExceptionalBuckets,
     Factorization,
     FamilyPoint,
     SeriesEstimate,
     avoids_candidate_set,
-    count_exceptionals,
     count_p2_ratio,
     count_poly,
     factorize,
@@ -61,6 +61,7 @@ from .numtheory import (
     is_prime,
     jacobi,
     landau_normalizer,
+    least_prime_factor,
     poly_eval,
     root_count_mod_p,
     sieve_primes,

@@ -15,6 +15,12 @@ Any other composite member of the candidate set (cofactor at least
 4p - 3 over its least prime p) is ordinary via an explicit witness whose
 eigenvalue is exactly l0 + 2.  Orders outside the candidate set are
 ordinary because the window excess is positive.
+
+So a member of the candidate set needs no full factorisation: its least
+prime p and whether the cofactor t = m/p is prime fix the kind (m = p is
+kind I, t = p makes m a prime square, and any other prime t makes m a
+distinct semiprime), and numtheory.least_prime_factor factorises only
+the composites without a prime factor below 1000.
 """
 
 from __future__ import annotations
@@ -36,7 +42,12 @@ from .bounds import (
     window_margin,
 )
 from .errors import InternalInvariantError, ValidationError
-from .numtheory import Factorization, factorize, is_prime, isqrt_array
+from .numtheory import (
+    Factorization,
+    is_prime,
+    isqrt_array,
+    least_prime_factor,
+)
 from .precision import (
     AUTO_EXTENDED_THRESHOLD,
     DEFAULT_POLICY,
@@ -187,15 +198,20 @@ def classify(m: int, factors=None,
         return Verdict(m, l0, w, KIND_OUTSIDE, VERDICT_ORDINARY, 0, l0,
                        mu_hat=d.mu_max, rb=d.rb, margin=d.margin)
 
+    ## the least prime p and whether the cofactor t = m/p is prime
     if factors is None:
         if m >= 1 << 64:
             raise ValidationError(
                 "orders at or above 2**64 need an explicit factorisation")
-        fac = factorize(m)
+        p = least_prime_factor(m)
+        t_prime = is_prime(m // p)
     else:
         fac = _normalize_factors(m, factors)
+        p = fac.factors[0][0]
+        t_prime = len(fac.prime_list()) == 2
+    t = m // p
 
-    if fac.is_prime:
+    if t == 1:
         d = window_margin(m, l0 + 2, policy)
         if d.margin < 0:
             raise InternalInvariantError(
@@ -203,17 +219,16 @@ def classify(m: int, factors=None,
         return Verdict(m, l0, w, KIND_I, VERDICT_EXCEPTIONAL, 2, l0 + 2,
                        mu_hat=d.mu_max, rb=d.rb, margin=d.margin)
 
-    primes = fac.prime_list()
-    if len(primes) == 2 and primes[0] == primes[1]:
+    if t == p:
         if m not in (25, 49):
             raise InternalInvariantError(
                 f"unexpected prime square {m} inside the candidate set")
         return Verdict(m, l0, w, KIND_III, VERDICT_EXCEPTIONAL, 2, l0 + 2,
-                       p=primes[0], q=primes[1])
+                       p=p, q=p)
 
-    pq = fac.distinct_semiprime
-    if pq is not None and pq[1] <= 4 * pq[0] - 5:
-        p, q = pq
+    ## from here on, m = p*t is a distinct semiprime exactly when t is prime
+    if t_prime and t <= 4 * p - 5:
+        q = t
         d = decide(m, l0 + 2, lambda: max(semiprime_candidates(p, q, l0)),
                    lambda digits: max(semiprime_candidates(p, q, l0, digits=digits)),
                    policy)
@@ -227,8 +242,6 @@ def classify(m: int, factors=None,
 
     ## remaining composites: cofactor t = m/p over the least prime p is
     ## at least 4p - 3, so the multiples-of-p witness pins hat_l = l0
-    p = primes[0]
-    t = m // p
     if t < 4 * p - 3 or l0 + 2 > t:
         raise InternalInvariantError(
             f"no qualifying witness decomposition for m={m}")
@@ -237,7 +250,7 @@ def classify(m: int, factors=None,
             f"witness eigenvalue l0+2 failed to beat the bound at m={m}")
     rb = ramanujan_bound(m, l0 + 2)
     return Verdict(m, l0, w, KIND_OTHER, VERDICT_ORDINARY, 0, l0,
-                   p=p, q=t if pq is not None else None,
+                   p=p, q=t if t_prime else None,
                    mu_hat=float(l0 + 2), rb=rb, margin=rb - (l0 + 2))
 
 
@@ -261,10 +274,9 @@ def ordinary_witness(m: int, p: int | None = None) -> OrdinaryWitness:
     if m < 15:
         raise ValidationError("witness construction applies from m = 15 on")
     if p is None:
-        fac = factorize(m)
-        if fac.is_prime:
+        p = least_prime_factor(m)
+        if p == m:
             raise ValidationError(f"{m} is prime; no composite witness exists")
-        p = fac.factors[0][0]
     if m % p or p == m or not is_prime(p):
         raise ValidationError(f"{p} is not a proper prime divisor of {m}")
     t = m // p
@@ -521,3 +533,27 @@ def exceptional_orders(x: int,
 def rho_e(x: int, policy: NumericPolicy = DEFAULT_POLICY) -> int:
     """Number of exceptional orders up to x."""
     return len(exceptional_orders(x, policy))
+
+
+@dataclass(frozen=True)
+class ExceptionalBuckets:
+    """k values (4 <= k <= k_max) whose family value is exceptional."""
+
+    c: int
+    k_max: int
+    type_i: tuple[int, ...]
+    type_ii: tuple[int, ...]
+    type_iii: tuple[int, ...]
+
+
+def count_exceptionals(c: int, k_max: int) -> ExceptionalBuckets:
+    """Classify k^2 + 5k + c for 4 <= k <= k_max and bucket by type."""
+    if c not in C_OFFSETS:
+        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+    buckets: dict[str, list[int]] = {KIND_I: [], KIND_II: [], KIND_III: []}
+    for k in range(4, k_max + 1):
+        v = classify(k * k + 5 * k + c)
+        if v.verdict == VERDICT_EXCEPTIONAL:
+            buckets[v.kind].append(k)
+    return ExceptionalBuckets(c, k_max, tuple(buckets[KIND_I]),
+                              tuple(buckets[KIND_II]), tuple(buckets[KIND_III]))

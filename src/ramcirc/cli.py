@@ -29,6 +29,7 @@ from .classify import (
     KIND_III,
     VERDICT_EXCEPTIONAL,
     classify,
+    count_exceptionals,
     profile_point,
     scan_range,
     semiprime_candidates,
@@ -36,7 +37,6 @@ from .classify import (
 )
 from .errors import BudgetExceededError, InternalInvariantError, ValidationError
 from .numtheory import (
-    count_exceptionals,
     count_p2_ratio,
     count_poly,
     family_eval,

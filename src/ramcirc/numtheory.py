@@ -3,8 +3,11 @@ that generate semiprime candidates, and the counting functions behind the
 census experiments.
 
 Primality is a deterministic Miller-Rabin over the standard twelve-witness
-set, valid for every input below 2**64; factorisation is trial division
-followed by Brent's cycle-finding variant of Pollard rho.
+set, valid for every input below 2**64.  Factorisation and the least
+prime factor share one trial-division table, the primes below 1000, and
+one gcd against their product skips it for an input none of them
+divides; factorisation then splits what is left with Brent's
+cycle-finding variant of Pollard rho.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from .errors import (
     ValidationError,
 )
 
-## deterministic below 2**64
+## deterministic below 2**64; is_prime also trial-divides by them
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+## the trial-division table: every prime below 1000, and their product
+_SMALL_PRIMES = (2,) + tuple(p for p in range(3, 1000, 2)
+                             if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
@@ -35,7 +42,7 @@ def is_prime(n: int) -> bool:
         raise ValidationError("primality testing is limited to 64-bit inputs")
     if n < 2:
         return False
-    for p in _SMALL_TRIAL:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -130,16 +137,16 @@ def factorize(n: int) -> Factorization:
     if not isinstance(n, int) or n < 1 or n >= 1 << 64:
         raise ValidationError("factorisation is limited to 64-bit inputs")
     factors: dict[int, int] = {}
-    for p in _SMALL_TRIAL:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    p = 41
-    while p * p <= n and p < 1000:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 2
+    ## g holds the small primes that divide n and are not yet divided out
+    g = gcd(n, _SMALL_PRODUCT)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            while n % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                n //= p
     stack = [n] if n > 1 else []
     while stack:
         v = stack.pop()
@@ -154,6 +161,23 @@ def factorize(n: int) -> Factorization:
     for q, e in factors.items():
         total *= q ** e
     return Factorization(total, tuple(sorted(factors.items())))
+
+
+def least_prime_factor(n: int) -> int:
+    """The least prime factor of 2 <= n < 2**64.
+
+    Only an n that is composite with no prime factor below 1000 is
+    factorised; the others take one gcd, then a scan of the table or
+    one primality test.
+    """
+    if not isinstance(n, int) or n < 2 or n >= 1 << 64:
+        raise ValidationError("least prime factors are limited to 2 <= n < 2**64")
+    g = gcd(n, _SMALL_PRODUCT)
+    if g > 1:
+        return next(p for p in _SMALL_PRIMES if g % p == 0)
+    if is_prime(n):
+        return n
+    return factorize(n).factors[0][0]
 
 
 def jacobi(a: int, n: int) -> int:
@@ -347,32 +371,6 @@ def hardy_littlewood_constant(c: int, prime_limit: int = 10 ** 7) -> SeriesEstim
     return SeriesEstimate(float(partial[-1]), osc, prime_limit)
 
 
-@dataclass(frozen=True)
-class ExceptionalBuckets:
-    """k values (4 <= k <= k_max) whose family value is exceptional."""
-
-    c: int
-    k_max: int
-    type_i: tuple[int, ...]
-    type_ii: tuple[int, ...]
-    type_iii: tuple[int, ...]
-
-
-def count_exceptionals(c: int, k_max: int) -> ExceptionalBuckets:
-    """Classify k^2 + 5k + c for 4 <= k <= k_max and bucket by type."""
-    from .classify import classify  # deferred: classify depends on this module
-
-    if c not in C_OFFSETS:
-        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
-    buckets: dict[str, list[int]] = {"I": [], "II": [], "III": []}
-    for k in range(4, k_max + 1):
-        v = classify(k * k + 5 * k + c)
-        if v.verdict == "exceptional":
-            buckets[v.kind].append(k)
-    return ExceptionalBuckets(c, k_max, tuple(buckets["I"]),
-                              tuple(buckets["II"]), tuple(buckets["III"]))
-
-
 def count_p2_ratio(a: float, x: int) -> int:
     """Count m <= x of the form m = p*q, p < q < a*p, p and q prime.
 
@@ -398,10 +396,13 @@ def count_p2_ratio(a: float, x: int) -> int:
 
 
 def is_distinct_semiprime(n: int) -> bool:
-    """Whether n = p*q with p < q prime."""
+    """Whether n = p*q with p < q prime: the cofactor over the least prime
+    p is a prime other than p."""
     if n < 6:
         return False
-    return factorize(n).distinct_semiprime is not None
+    p = least_prime_factor(n)
+    t = n // p
+    return t != p and is_prime(t)
 
 
 def count_poly(coeffs, x: int, mode: str = "prime") -> int:

@@ -39,8 +39,8 @@ from .spectra import (
     CayleySet,
     check_covalency,
     check_modulus,
-    elements,
     is_ramanujan,
+    pair_characters,
     phase_table,
     ramanujan_bound,
     window_complement,
@@ -83,8 +83,7 @@ def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
     size = comb(h, r)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    E = elements(orders)
-    R = E[np.arange(len(E)) < np.ravel_multi_index((-E % orders).T, orders)]
+    R = pair_characters(orders)
     phases = phase_table(orders, R, R)
     P = 2.0 * np.cos((2.0 * math.pi / orders[-1]) * phases)
     outside = phases != 0

@@ -62,6 +62,15 @@ def elements(orders: tuple[int, ...]) -> np.ndarray:
     return np.indices(orders).reshape(len(orders), -1).T
 
 
+def pair_characters(orders: tuple[int, ...]) -> np.ndarray:
+    """One character of each pair {chi, -chi} with chi != 0, the first in
+    product order (on Z_m, the rows 1..(m-1)/2); both give one eigenvalue
+    and one kernel, and no nonzero chi of an odd-order group is -chi."""
+    E = elements(orders)
+    negated = np.ravel_multi_index(((-E) % np.array(orders)).T, orders)
+    return E[np.arange(len(E)) < negated]
+
+
 def phase_table(orders: tuple[int, ...], chars: np.ndarray,
                 elems: np.ndarray) -> np.ndarray:
     """[i, k] = <chars[i], elems[k]> exactly, in units of 1/exponent; a
@@ -118,7 +127,7 @@ class CayleySet:
         ## most |G|/3 elements, so a larger kept set generates
         if 3 * (m - l) <= m:
             _check_budget(self)
-            orders, chars = self.orders, elements(self.orders)[1:]
+            orders, chars = self.orders, pair_characters(self.orders)
             kernel = m // np.lcm.reduce(np.array(orders) // np.gcd(chars, orders), axis=1)
             outside = np.concatenate(
                 [(p != 0).sum(axis=1) for p in _phase_blocks(self, chars)])
@@ -267,11 +276,12 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
 
 
 def _mp_mu_max(cayley: CayleySet):
-    """max |mu_chi| over chi != 0 at the current mpmath precision."""
+    """max |mu_chi| over chi != 0 at the current mpmath precision, one
+    character per negation pair, phases taken at min(k, L - k) as in _cos2."""
     _check_budget(cayley)
     L, best = cayley.orders[-1], mp.mpf(0)
-    for phases in _phase_blocks(cayley, elements(cayley.orders)[1:]):
-        for row in phases.tolist():
+    for phases in _phase_blocks(cayley, pair_characters(cayley.orders)):
+        for row in np.minimum(phases, L - phases).tolist():
             best = max(best, abs(1 + mp.fsum(2 * mp_cos2pi_frac(k, L) for k in row)))
     return best
 

@@ -2,12 +2,13 @@
 
 import importlib
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ramcirc import golden
-from ramcirc.bounds import in_candidate_set, trivial_bound
+from ramcirc.bounds import C_OFFSETS, K_MIN, SMALL_WINDOW, in_candidate_set, trivial_bound
 from ramcirc.classify import (
     _SCAN_CHUNK,
     REGIME_ORDERS,
@@ -22,7 +23,7 @@ from ramcirc.classify import (
     thresholds,
 )
 from ramcirc.errors import ValidationError
-from ramcirc.numtheory import family_eval
+from ramcirc.numtheory import factorize, family_eval, is_prime
 from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, NumericPolicy
 from ramcirc.spectra import eigenvalue, spectrum
 
@@ -118,6 +119,75 @@ class TestKinds:
     def test_factors_must_match(self):
         with pytest.raises(ValidationError):
             classify(35, factors=[3, 5])
+
+
+def _j_members_below(x):
+    """Every member of J below x: the small window and each k^2 + 5k + c."""
+    return sorted(SMALL_WINDOW | {k * k + 5 * k + c for c in C_OFFSETS
+                                  for k in range(K_MIN[c], math.isqrt(x))
+                                  if k * k + 5 * k + c < x})
+
+
+def _j_sample(seed, size):
+    """Members k^2 + 5k + c of J in [2**40, 2**64), magnitude log-uniform."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < size:
+        k = (math.isqrt(4 * int(2 ** rng.uniform(40, 64))) - 5) // 2
+        m = k * k + 5 * k + rng.choice(C_OFFSETS)
+        if 1 << 40 <= m < 1 << 64:
+            out.append(m)
+    return out
+
+
+class TestLeastPrimeRoute:
+    """classify reads the least prime factor and the primality of the
+    cofactor; with a full factorisation supplied it must agree exactly."""
+
+    def test_every_member_below_4e5(self):
+        members = _j_members_below(4 * 10 ** 5)
+        assert len(members) > 3000
+        for m in members:
+            assert in_candidate_set(m).member, m
+            assert classify(m) == classify(m, factors=factorize(m)), m
+
+    def test_seeded_sample_above_2_40(self):
+        seen = set()
+        for m in _j_sample(7, 1000):
+            v = classify(m)
+            assert v == classify(m, factors=factorize(m)), m
+            seen.add((v.kind, v.q is None))
+            if v.kind == "II":
+                assert 1000 < v.p < v.q
+        assert {("I", True), ("II", False), ("other_composite", False),
+                ("other_composite", True)} <= seen
+
+    def test_no_rho_below_1000(self, monkeypatch):
+        ## a least prime below 1000 is found by trial division, and the
+        ## cofactor needs only is_prime, however hard it is to factor
+        numtheory = importlib.import_module("ramcirc.numtheory")
+        rho = numtheory._brent_rho
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return rho(n)
+
+        sample = []
+        for m in _j_sample(11, 300):
+            fac = factorize(m)
+            p, t = fac.factors[0][0], m // fac.factors[0][0]
+            ## factorize(m) would run rho on a composite cofactor t that
+            ## has no prime factor below 1000
+            hard = p < 1000 and t > 1 and not is_prime(t) \
+                and factorize(t).factors[0][0] > 1000
+            sample.append((m, p < 1000 or fac.is_prime, hard))
+        assert sum(hard for *_, hard in sample) > 10
+        monkeypatch.setattr(numtheory, "_brent_rho", counting)
+        for m, no_rho, _ in sample:
+            calls.clear()
+            classify(m)
+            assert (not calls) == no_rho, m
 
 
 class TestSemiprimeCandidates:

@@ -11,9 +11,9 @@ import json
 
 from ramcirc import cli, spectra
 from ramcirc.abelian import AbelianGroup, abelian_hat_l
-from ramcirc.classify import classify
+from ramcirc.classify import classify, count_exceptionals
 from ramcirc.cli import main
-from ramcirc.numtheory import count_exceptionals, count_p2_ratio, count_poly
+from ramcirc.numtheory import count_p2_ratio, count_poly
 from ramcirc.spectra import CayleySet, is_ramanujan
 
 

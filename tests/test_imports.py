@@ -1,0 +1,48 @@
+"""Package layout: no module of ramcirc imports ramcirc inside a function.
+
+A deferred import hides an import cycle between two modules; the fix is
+to move the code that needs both into the module that already imports
+the other.
+"""
+
+import ast
+from pathlib import Path
+
+import ramcirc
+
+
+def _deferred_imports(source: str) -> list[int]:
+    """Line numbers of imports of ramcirc made inside a function body."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{'.' * node.level}{node.module or ''}"]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.startswith(".") or n.split(".")[0] == "ramcirc" for n in names):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_detects_each_form():
+    for body in ("from .classify import classify",
+                 "from ramcirc.classify import classify",
+                 "import ramcirc.numtheory",
+                 "import math, ramcirc"):
+        assert _deferred_imports(f"def f():\n    {body}\n") == [2], body
+    assert _deferred_imports("from .errors import ValidationError\nimport math\n"
+                             "def f():\n    import math\n") == []
+
+
+def test_no_module_imports_ramcirc_inside_a_function():
+    src = Path(ramcirc.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    found = {p.name: lines for p in modules
+             if (lines := _deferred_imports(p.read_text()))}
+    assert found == {}

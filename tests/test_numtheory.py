@@ -10,7 +10,6 @@ from ramcirc.errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
 from ramcirc.numtheory import (
     Factorization,
     avoids_candidate_set,
-    count_exceptionals,
     count_p2_ratio,
     count_poly,
     factorize,
@@ -22,11 +21,13 @@ from ramcirc.numtheory import (
     is_prime,
     jacobi,
     landau_normalizer,
+    least_prime_factor,
     poly_eval,
     root_count_mod_p,
     sieve_primes,
 )
 from ramcirc import golden
+from ramcirc.classify import count_exceptionals
 
 
 def trial_division_prime(n: int) -> bool:
@@ -82,6 +83,64 @@ class TestPrimality:
         assert Factorization.from_primes(45, [3, 3, 5]).factors == ((3, 2), (5, 1))
         with pytest.raises(ValidationError):
             Factorization.from_primes(45, [3, 15])
+
+
+def korselt(n: int) -> bool:
+    """Korselt's criterion: n is a Carmichael number."""
+    fac = factorize(n)
+    return (len(fac.factors) >= 2 and all(e == 1 for _, e in fac.factors)
+            and all((n - 1) % (p - 1) == 0 for p, _ in fac.factors))
+
+
+class TestLeastPrimeFactor:
+    @given(st.integers(min_value=2, max_value=2 ** 64 - 1))
+    def test_matches_factorize(self, n):
+        assert least_prime_factor(n) == factorize(n).factors[0][0]
+
+    def test_every_n_below_10_5(self):
+        ## is_distinct_semiprime and count_poly's semiprime mode read the
+        ## least prime factor and one primality test instead of factorize
+        for n in range(2, 10 ** 5):
+            fac = factorize(n)
+            assert least_prime_factor(n) == fac.factors[0][0], n
+            assert is_distinct_semiprime(n) == (fac.distinct_semiprime is not None), n
+
+    def test_no_prime_factor_below_1000(self):
+        cases = {
+            ## prime squares; 1009^2 is the smallest composite of this kind
+            1009 ** 2: 1009,
+            (2 ** 31 - 1) ** 2: 2 ** 31 - 1,
+            ## products of three primes
+            1009 * 1013 * 1019: 1009,
+            2097169 * 2097211 * 2097223: 2097169,
+            ## the smallest product of two distinct primes above 1000
+            1009 * 1013: 1009,
+            ## the largest prime below 2**64
+            18446744073709551557: 18446744073709551557,
+        }
+        for n, p in cases.items():
+            assert n < 2 ** 64
+            assert least_prime_factor(n) == p == factorize(n).factors[0][0], n
+        assert is_distinct_semiprime(1009 * 1013)
+        assert not is_distinct_semiprime(1009 ** 2)
+        assert not is_distinct_semiprime(18446744073709551557)
+
+    def test_carmichael_numbers(self):
+        ## composites that pass the Fermat test to every coprime base; the
+        ## last two (1171 * 2341 * 3511 and 1439047 * 2878093 * 4317139)
+        ## have no prime factor below 1000
+        cases = {561: 3, 1105: 5, 1729: 7, 41041: 7, 825265: 5,
+                 3215031751: 151, 9624742921: 1171,
+                 17880342505193141569: 1439047}
+        for n, p in cases.items():
+            assert korselt(n) and not is_prime(n)
+            assert least_prime_factor(n) == p == factorize(n).factors[0][0], n
+            assert not is_distinct_semiprime(n)
+
+    def test_rejects_out_of_range(self):
+        for n in (-7, 0, 1, 2 ** 64, 2.0):
+            with pytest.raises(ValidationError):
+                least_prime_factor(n)
 
 
 class TestJacobi:
