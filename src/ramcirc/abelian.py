@@ -10,8 +10,8 @@ primes do.  Z_3 x Z_3 has every class Ramanujan (the classes above
 covalency 5 are empty once connectivity is enforced), Z_p x Z_p gains
 one extra step for p in {7, 11, 13, 17} and two for p = 5, and every
 other non-cyclic group is ordinary with hat_l = l0.  abelian_oracle
-checks this by exhaustion on the enumeration engine of ramcirc.oracle,
-which treats Z_m as the rank-1 case.
+checks this on a group of any order with ramcirc.oracle.class_clean,
+whose suspect sets settle the ordinary groups without a scan.
 
 Cayley sets, spectra and the Ramanujan predicate are ramcirc.spectra's,
 whose CayleySet takes an AbelianGroup; the abelian_* names alias them.
@@ -207,15 +207,13 @@ def abelian_hat_l(group: AbelianGroup) -> AbelianVerdict:
 
 def abelian_oracle(group: AbelianGroup, l_max: int | None = None,
                    budget: int = DEFAULT_BUDGET) -> int:
-    """Exact hat_l by exhausting every class above l0, for |G| <= 49.
+    """Exact hat_l by deciding every class above l0 with oracle.class_clean.
 
     Classes of covalency at most l0 are Ramanujan outright, so the climb
     starts at l0 + 2 and stops at the first class containing a valid
     (connected) violator; a class left empty by the connectivity
-    requirement passes vacuously.
+    requirement passes vacuously.  A class that needs a scan of more
+    than budget sets raises BudgetExceededError.
     """
-    m = group.order
-    if m > 49:
-        raise ValidationError("the exhaustive oracle is limited to |G| <= 49")
-    return climb(m, m - 2 if l_max is None else l_max,
+    return climb(group.order, group.order - 2 if l_max is None else l_max,
                  lambda l: class_clean(group, l, budget))

@@ -503,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abelian", help="edge-removal bound for an abelian group")
     p.add_argument("--orders", required=True, metavar="LIST",
                    help="invariant factor chain, comma-separated")
-    p.add_argument("--oracle", action="store_true")
+    p.add_argument("--oracle", action="store_true",
+                   help="verify by exhaustion; exit 2 if a scan exceeds --budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_abelian)
 

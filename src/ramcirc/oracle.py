@@ -11,14 +11,16 @@ combinations x characters at one level.  Raw class sizes grow as
 C((|G|-1)/2, (l-1)/2), so every scan is gated by an explicit budget.
 
 Everything here is deliberately independent of the closed-form route:
-no window formulas, no candidate-set reasoning, just brute force.  The
-one shortcut is provable on its own: covalencies l <= l0 satisfy
-(l + 2)^2 <= 4m, hence mu <= l <= 2*sqrt(m - l - 1), so those classes
-are Ramanujan without scanning.
+no window formulas, no candidate-set reasoning, no factorisation, just
+brute force.  The one shortcut is provable on its own: covalencies
+l <= l0 satisfy (l + 2)^2 <= 4m, hence mu <= l <= 2*sqrt(m - l - 1), so
+those classes are Ramanujan without scanning.  Two suspect sets may end
+a class early, but is_ramanujan decides them like any scanned row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb, gcd
@@ -33,7 +35,7 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
     InternalInvariantError,
     ValidationError,
 )
-from .numtheory import factorize
+from .numtheory import is_prime, least_prime_factor
 from .precision import DEFAULT_POLICY, NumericPolicy
 from .spectra import (
     CayleySet,
@@ -142,14 +144,39 @@ def _combo_sums(P: np.ndarray, r: int, rows: int):
     yield from grow(top[None, :], P[:, : h - r + 1])
 
 
+def _suspects(group, l: int) -> list[CayleySet]:
+    """Two complements likely to break the bound, with r = (l - 1)/2: the
+    window +-1 .. +-r along the last cyclic factor, when 2r < L (the
+    exponent), and the first r pairs in product order of the character
+    kernel H = {x : p | x_last}, p the least prime of L, when H holds that
+    many; on Z_m these are the window and p, 2p, ..., rp."""
+    orders = (group,) if isinstance(group, int) else group.orders
+    L, r = orders[-1], (l - 1) // 2
+    p = next((d for d in range(3, math.isqrt(L) + 1, 2) if L % d == 0), L)
+    if isinstance(group, int):
+        window, packed = range(1, r + 1), range(p, p * r + 1, p)
+    else:
+        lead = (0,) * (len(orders) - 1)
+        window = [lead + (j,) for j in range(1, r + 1)]
+        H = itertools.product(*map(range, orders[:-1]), range(0, L, p))
+        packed = itertools.islice((x for x in H if x < group.negate(x)), r)
+    fits = (2 * r < L, l * p <= math.prod(orders))
+    return [CayleySet.from_pairs(group, reps)
+            for reps, ok in zip((window, packed), fits) if ok]
+
+
 def class_clean(group, l: int, budget: int,
                 policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """Whether no connected complement of covalency l breaks the bound.
 
     group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
-    Rows within _BORDER_TOL of 2*sqrt(|G| - l - 1) are re-decided by
-    is_ramanujan.  An empty class counts as clean.
+    The _suspects are decided first, before the budget is charged; then
+    rows of the scan within _BORDER_TOL of 2*sqrt(|G| - l - 1) are
+    re-decided by is_ramanujan.  An empty class counts as clean.
     """
+    for s in _suspects(group, l):
+        if not is_ramanujan(s, policy).is_ramanujan:
+            return False
     orders = (group,) if isinstance(group, int) else group.orders
     rb = 2.0 * math.sqrt(math.prod(orders) - l - 1)
     for reps, absmax in scan_class(orders, l, budget):
@@ -214,42 +241,10 @@ def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     return ClassMax(m, l, best, ramanujan_bound(m, l), _cayley(m, best_row))
 
 
-def _suspects(m: int, l: int) -> list[CayleySet]:
-    """Likely extremal complements, examined before the full scan.
-
-    The contiguous window set, and for composite m the sets packed into
-    multiples of each prime divisor; the latter hit eigenvalue -l
-    exactly at index m/p whenever they fit below m/2.
-    """
-    out = [window_complement(m, l)]
-    r = (l - 1) // 2
-    fac = factorize(m)
-    if not fac.is_prime:
-        for p, _ in fac.factors:
-            if r * p <= (m - 1) // 2:
-                out.append(CayleySet.from_pairs(m, (j * p for j in range(1, r + 1))))
-    seen: set[frozenset] = set()
-    uniq = []
-    for s in out:
-        if s.complement not in seen:
-            seen.add(s.complement)
-            uniq.append(s)
-    return uniq
-
-
 def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET,
                         policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """Whether every complement in the class keeps the Ramanujan bound.
-
-    Suspected extremal sets are decided first, so violating classes
-    answer quickly; the full scan then covers everything.  Rows within
-    _BORDER_TOL of the bound are re-decided by is_ramanujan.  An empty
-    class (everything filtered as non-generating) counts as True.
-    """
+    """class_clean on Z_m, after validating the covalency."""
     check_covalency(m, l)
-    for s in _suspects(m, l):
-        if not is_ramanujan(s, policy=policy).is_ramanujan:
-            return False
     return class_clean(m, l, budget, policy)
 
 
@@ -341,11 +336,10 @@ def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET,
     against max(mu0, mu1, mu2), and identifies the extremal set as one
     of the predicted families up to a unit multiplier.
     """
-    fac = factorize(m)
-    pq = fac.distinct_semiprime
-    if pq is None:
+    p = least_prime_factor(m)
+    q = m // p
+    if q == p or not is_prime(q):
         raise ValidationError(f"m={m} is not a product of two distinct primes")
-    p, q = pq
     if q > 4 * p - 5:
         raise ValidationError(
             f"q={q} exceeds 4p-5={4 * p - 5}; the candidate formula does not apply")

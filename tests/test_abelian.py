@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from ramcirc import oracle
 from ramcirc.abelian import (
     AbelianCayleySet,
     AbelianGroup,
@@ -301,6 +302,28 @@ class TestOracle:
             with pytest.raises(ValidationError):
                 AbelianCayleySet.from_pairs(g, rest)
 
-    def test_oracle_size_limit(self):
-        with pytest.raises(ValidationError):
-            abelian_oracle(AbelianGroup((51,)))
+    def test_every_noncyclic_group_to_1001(self, monkeypatch):
+        ## every divisibility chain of two or more odd factors >= 3 with
+        ## product at most 1001
+        def chains(chain, order):
+            if len(chain) >= 2:
+                yield tuple(chain)
+            for b in range(chain[-1], 1001 // order + 1, 2 * chain[-1]):
+                yield from chains(chain + [b], order * b)
+
+        groups = [c for a in range(3, 1002, 2) for c in chains([a], a)]
+        assert len(groups) == 149
+        over = [(p, p) for p in (11, 13, 17, 19, 23, 29, 31)]
+        for orders in groups:
+            if orders not in over:
+                g = AbelianGroup(orders)
+                assert abelian_oracle(g) == abelian_hat_l(g).hat_l, orders
+
+        ## no suspect fits their l0 + 2 classes, and those are over budget
+        def no_scan(*args):
+            raise AssertionError("scanned a class over the budget")
+
+        monkeypatch.setattr(oracle, "_combo_sums", no_scan)
+        for orders in over:
+            with pytest.raises(BudgetExceededError):
+                abelian_oracle(AbelianGroup(orders))

@@ -267,6 +267,18 @@ class TestAbelian:
         assert code == 0
         assert "oracle: 11  (agree)" in out
 
+    def test_oracle_past_49(self, capsys):
+        code, out, err = run(capsys, "abelian", "--orders", "9,9", "--oracle")
+        assert code == 0
+        assert "oracle: 15  (agree)" in out
+        assert "Traceback" not in err
+
+    def test_oracle_over_budget_exits_2(self, capsys):
+        code, _, err = run(capsys, "abelian", "--orders", "11,11", "--oracle")
+        assert code == 2
+        assert "error: enumeration needs" in err and "budget is" in err
+        assert "Traceback" not in err
+
     def test_rejects_even_orders(self, capsys):
         code, _, err = run(capsys, "abelian", "--orders", "4,8")
         assert code == 2 and "error:" in err

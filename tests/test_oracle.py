@@ -19,7 +19,7 @@ from ramcirc.oracle import (
     scan_class,
     semiprime_crosscheck,
 )
-from ramcirc.spectra import CayleySet, spectrum, window_complement
+from ramcirc.spectra import CayleySet, eigenvalue, spectrum, window_complement
 
 
 class TestEnumeration:
@@ -173,6 +173,48 @@ class TestBorderRows:
         assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
 
 
+class TestSuspects:
+    ## Z_m for odd m <= 45, and the non-cyclic groups of order at most 45
+    GROUPS = list(range(3, 46, 2)) + [
+        AbelianGroup(o) for o in ((3, 3), (5, 5), (3, 9), (3, 3, 3), (3, 15))]
+
+    def test_suspects_only_end_a_class_early(self, monkeypatch):
+        cases = [(g, l) for g in self.GROUPS for l in range(1, _order(g) - 1, 2)
+                 if math.comb((_order(g) - 1) // 2, (l - 1) // 2) <= 2 * 10**5]
+        assert len(cases) == 297
+        want = [oracle.class_clean(g, l, 10**6) for g, l in cases]
+        for g, l in cases:
+            orders = (g,) if isinstance(g, int) else g.orders
+            L = orders[-1]
+            p = next(d for d in range(3, L + 1, 2) if L % d == 0)
+            if _order(g) // p < l:
+                continue
+            ## the set packed into H = {x : p | x_last} has eigenvalue -l
+            ## at the character with kernel H
+            packed = oracle._suspects(g, l)[-1]
+            assert packed.covalency == l, (g, l)
+            chi = L // p if isinstance(g, int) else (0,) * (len(orders) - 1) + (L // p,)
+            assert eigenvalue(packed, chi) == -l, (g, l)
+        monkeypatch.setattr(oracle, "_suspects", lambda group, l: [])
+        assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
+
+    def test_no_scan_for_ordinary_orders_but_21(self):
+        ## with budget 0 any scan raises, so every answer below comes from
+        ## a suspect alone; 21's violator lies in the multiples of 7, but
+        ## the packed suspect uses its least prime, 3, which does not fit
+        for m in range(15, 2002, 2):
+            v = classify(m)
+            if v.verdict == "ordinary" and m != 21:
+                assert hat_l_exhaustive(m, budget=0) == v.hat_l, m
+            else:
+                with pytest.raises(BudgetExceededError):
+                    hat_l_exhaustive(m, budget=0)
+
+
+def _order(group):
+    return group if isinstance(group, int) else group.order
+
+
 class TestClassMax:
     def test_pinned_maxima(self):
         cm = class_max(35, 11)
@@ -234,6 +276,10 @@ class TestCrosscheck:
             semiprime_crosscheck(27)
         with pytest.raises(ValidationError):
             semiprime_crosscheck(85)  # 17 > 4*5-5
+        with pytest.raises(ValidationError):
+            semiprime_crosscheck(13)
+        ## p is the least prime factor and q = m // p; nothing is factorised
+        assert not hasattr(oracle, "factorize")
 
     def test_closed_form_tracks_scan_beyond_reference(self):
         r = semiprime_crosscheck(65)
