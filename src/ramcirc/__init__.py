@@ -76,7 +76,7 @@ from .oracle import (
     hat_l_exhaustive,
     semiprime_crosscheck,
 )
-from .precision import AUTO_EXTENDED_THRESHOLD, DEFAULT_POLICY, NumericPolicy
+from .precision import AUTO_EXTENDED_THRESHOLD
 from .spectra import (
     CayleySet,
     RamanujanDecision,

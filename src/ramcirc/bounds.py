@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import InternalInvariantError, ValidationError
-from .precision import DEFAULT_POLICY, NumericPolicy, RamanujanDecision, decide
+from .precision import RamanujanDecision, decide
 from .spectra import check_modulus, window_eigenvalue
 
 ## admissible offsets c, their discriminants c' = 25 - 4c, and the least
@@ -49,15 +49,14 @@ def interval_index(m: int) -> int:
     return (isqrt(4 * m) - 3) // 2
 
 
-def window_margin(m: int, l: int,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
+def window_margin(m: int, l: int) -> RamanujanDecision:
     """The decision for mu = -window_eigenvalue(m, l, 1) against the bound
     at covalency l; its margin is the window margin."""
     return decide(m, l, lambda: -window_eigenvalue(m, l, 1),
-                  lambda digits: -window_eigenvalue(m, l, 1, digits), policy)
+                  lambda digits: -window_eigenvalue(m, l, 1, digits))
 
 
-def window_excess(m: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def window_excess(m: int) -> float:
     """Signed excess of the canonical window set over the Ramanujan bound.
 
     Positive excess certifies m ordinary.  Near-zero values are
@@ -66,7 +65,7 @@ def window_excess(m: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     check_modulus(m)
     if m < 5:
         raise ValidationError("window excess needs odd m >= 5")
-    return -window_margin(m, trivial_bound(m) + 2, policy).margin
+    return -window_margin(m, trivial_bound(m) + 2).margin
 
 
 def negative_excess_window(k: int) -> tuple[int, int]:
@@ -142,8 +141,7 @@ def deep_window_max_h(m: int) -> int:
     return h
 
 
-def window_violation(m: int, h: int,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def window_violation(m: int, h: int) -> bool:
     """Check that the window set at covalency l0 + 2h breaks the bound.
 
     Valid for odd m >= 39 and 2 <= h <= floor((sqrt(m) - 2)^2 / 4); in
@@ -159,4 +157,4 @@ def window_violation(m: int, h: int,
     l = trivial_bound(m) + 2 * h
     if 2 * l >= m:
         raise InternalInvariantError(f"window covalency {l} reached m/2 at m={m}")
-    return window_margin(m, l, policy).margin < 0
+    return window_margin(m, l).margin < 0

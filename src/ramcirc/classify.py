@@ -32,6 +32,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
+from . import precision
 from .bounds import (
     CPRIMES,
     C_OFFSETS,
@@ -50,11 +51,10 @@ from .numtheory import (
 )
 from .precision import (
     AUTO_EXTENDED_THRESHOLD,
-    DEFAULT_POLICY,
-    NumericPolicy,
     decide,
     mp_cos2pi_frac,
     mp_sinpi_frac,
+    start_digits,
 )
 from .spectra import CayleySet, check_modulus, ramanujan_bound, window_eigenvalue
 
@@ -176,8 +176,7 @@ def _near_threshold(p: int, q: int, c: int | None) -> bool | None:
     return th.xbar1[c] < x < th.xunder2[c]
 
 
-def classify(m: int, factors=None,
-             policy: NumericPolicy = DEFAULT_POLICY) -> Verdict:
+def classify(m: int, factors=None) -> Verdict:
     """Classify one odd order and compute its edge-removal bound.
 
     factors optionally supplies the prime factorisation (a Factorization
@@ -191,7 +190,7 @@ def classify(m: int, factors=None,
                        VERDICT_ALL_RAMANUJAN, None, m - 2)
     w = in_candidate_set(m)
     if not w.member:
-        d = window_margin(m, l0 + 2, policy)
+        d = window_margin(m, l0 + 2)
         if d.margin >= 0:
             raise InternalInvariantError(
                 f"positive window excess expected outside the candidate set, m={m}")
@@ -212,7 +211,7 @@ def classify(m: int, factors=None,
     t = m // p
 
     if t == 1:
-        d = window_margin(m, l0 + 2, policy)
+        d = window_margin(m, l0 + 2)
         if d.margin < 0:
             raise InternalInvariantError(
                 f"prime candidate {m} shows a positive window excess")
@@ -230,8 +229,7 @@ def classify(m: int, factors=None,
     if t_prime and t <= 4 * p - 5:
         q = t
         d = decide(m, l0 + 2, lambda: max(semiprime_candidates(p, q, l0)),
-                   lambda digits: max(semiprime_candidates(p, q, l0, digits=digits)),
-                   policy)
+                   lambda digits: max(semiprime_candidates(p, q, l0, digits=digits)))
         return Verdict(
             m, l0, w, KIND_II,
             VERDICT_EXCEPTIONAL if d.is_ramanujan else VERDICT_ORDINARY,
@@ -399,7 +397,7 @@ def spectral_ordering(p: int, q: int, c: int | None = None) -> SpectralOrdering:
     cuts = (th.gamma1, th.gamma2, th.gamma3, th.gamma4, th.gamma5[c])
     regime = 1 + sum(x > b for b in cuts)
     l0 = trivial_bound(m)
-    digits = None if m <= AUTO_EXTENDED_THRESHOLD else DEFAULT_POLICY.start_digits(m)
+    digits = None if m <= AUTO_EXTENDED_THRESHOLD else start_digits(m)
     mu0, mu1, mu2 = semiprime_candidates(p, q, l0, digits=digits)
     if digits is None:
         rb = ramanujan_bound(m, l0 + 2)
@@ -465,11 +463,11 @@ _SCAN_FROM = 31
 _SCAN_CHUNK = 1 << 16
 
 
-def _scan_chunk(lo: int, hi: int, policy: NumericPolicy) -> list[Verdict]:
+def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
     """classify(m) for odd m in [lo, hi], 31 <= lo, hi < 2**40.
 
     Orders outside the candidate set whose window margin is at most
-    -escalation_margin get their Verdict from numpy arrays that repeat
+    -ESCALATION_MARGIN get their Verdict from numpy arrays that repeat
     the scalar arithmetic of trivial_bound, in_candidate_set,
     window_eigenvalue and ramanujan_bound operation for operation (the
     reduction of l mod 2m is left out: l < m); every other order goes
@@ -487,19 +485,18 @@ def _scan_chunk(lo: int, hi: int, policy: NumericPolicy) -> list[Verdict]:
     mu = np.sin(math.pi * l / m) / np.sin(math.pi / m)
     rb = 2.0 * np.sqrt(m - l - 1)
     margin = rb - mu
-    fast = ~member & (margin <= -policy.escalation_margin)
+    fast = ~member & (margin <= -precision.ESCALATION_MARGIN)
     return [
         Verdict(mi, l0i, CandidateWitness(mi, False), KIND_OUTSIDE,
                 VERDICT_ORDINARY, 0, l0i, mu_hat=mui, rb=rbi, margin=di)
-        if ok else classify(mi, policy=policy)
+        if ok else classify(mi)
         for mi, l0i, mui, rbi, di, ok in zip(
             m.tolist(), l0.tolist(), mu.tolist(), rb.tolist(),
             margin.tolist(), fast.tolist())
     ]
 
 
-def scan_range(lo: int, hi: int,
-               policy: NumericPolicy = DEFAULT_POLICY) -> list[Verdict]:
+def scan_range(lo: int, hi: int) -> list[Verdict]:
     """Classify every odd order in [lo, hi] (both at least 3).
 
     In [31, 2**40), orders outside the candidate set J are decided in
@@ -513,26 +510,22 @@ def scan_range(lo: int, hi: int,
         lo += 1
     fast_lo = max(lo, _SCAN_FROM)
     fast_hi = min(hi, AUTO_EXTENDED_THRESHOLD - 1)
-    verdicts = [classify(m, policy=policy)
-                for m in range(lo, min(hi, fast_lo - 2) + 1, 2)]
+    verdicts = [classify(m) for m in range(lo, min(hi, fast_lo - 2) + 1, 2)]
     for start in range(fast_lo, fast_hi + 1, 2 * _SCAN_CHUNK):
-        verdicts += _scan_chunk(
-            start, min(fast_hi, start + 2 * _SCAN_CHUNK - 2), policy)
-    verdicts += [classify(m, policy=policy)
-                 for m in range(max(lo, fast_hi + 2), hi + 1, 2)]
+        verdicts += _scan_chunk(start, min(fast_hi, start + 2 * _SCAN_CHUNK - 2))
+    verdicts += [classify(m) for m in range(max(lo, fast_hi + 2), hi + 1, 2)]
     return verdicts
 
 
-def exceptional_orders(x: int,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> list[int]:
+def exceptional_orders(x: int) -> list[int]:
     """All exceptional orders m <= x (the census behind the density counts)."""
-    return [v.m for v in scan_range(15, x, policy)
+    return [v.m for v in scan_range(15, x)
             if v.verdict == VERDICT_EXCEPTIONAL]
 
 
-def rho_e(x: int, policy: NumericPolicy = DEFAULT_POLICY) -> int:
+def rho_e(x: int) -> int:
     """Number of exceptional orders up to x."""
-    return len(exceptional_orders(x, policy))
+    return len(exceptional_orders(x))
 
 
 @dataclass(frozen=True)

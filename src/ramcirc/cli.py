@@ -3,8 +3,8 @@
 One executable, `ramcirc`, with one subcommand per question the library
 answers.  The table subcommands recompute a pinned reference table and
 report PASS or FAIL per row, exiting 3 on any mismatch; `--json` swaps
-the text output for a machine-readable document, and `--precision`
-raises the number of digits used wherever extended precision applies.
+the text output for one compact JSON document.  Extended precision needs
+no flag: precision.decide works out the digits of each comparison.
 
 Exit codes: 0 success, 2 invalid input or an exceeded enumeration
 budget, 3 an internal invariant or reference-table violation.
@@ -46,22 +46,24 @@ from .numtheory import (
     poly_eval,
 )
 from .oracle import DEFAULT_BUDGET, hat_l_exhaustive
-from .precision import DEFAULT_POLICY, NumericPolicy
 from .spectra import CayleySet, decide_spectrum, spectrum
-
-
-def _policy(args) -> NumericPolicy:
-    if args.precision is None:
-        return DEFAULT_POLICY
-    return NumericPolicy(extended_digits=args.precision)
 
 
 def _emit(args, payload, lines) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, separators=(",", ":")))
     else:
         for line in lines:
             print(line)
+
+
+def _check_oracle(args, payload, lines, exact, hat_l, mismatch: str) -> None:
+    """Add the oracle's answer to the output; on a mismatch emit it and raise."""
+    payload["oracle"] = exact
+    lines.append(f"oracle: {exact}  ({'agree' if exact == hat_l else 'DISAGREE'})")
+    if exact != hat_l:
+        _emit(args, payload, lines)
+        raise InternalInvariantError(mismatch)
 
 
 def _int_list(text: str) -> list[int]:
@@ -78,7 +80,7 @@ def _fmt(x, nd=6) -> str:
 ## ------------------------------------------------------------- commands
 
 def cmd_classify(args) -> int:
-    v = classify(args.m, policy=_policy(args))
+    v = classify(args.m)
     w = v.witness
     member = (f"yes ({w.source}, c = {w.c}, k = {w.k})" if w.source == "quadratic"
               else f"yes ({w.source})") if w.member else "no"
@@ -101,19 +103,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hatl(args) -> int:
-    v = classify(args.m, policy=_policy(args))
+    v = classify(args.m)
     payload = {"m": args.m, "hatl": v.hat_l, "verdict": v.verdict,
                "oracle": None, "agrees": None}
     lines = [f"hat_l({args.m}) = {v.hat_l}  [{v.verdict}]"]
     if args.oracle:
-        exact = hat_l_exhaustive(args.m, budget=args.budget, policy=_policy(args))
-        payload["oracle"] = exact
+        exact = hat_l_exhaustive(args.m, budget=args.budget)
         payload["agrees"] = exact == v.hat_l
-        lines.append(f"oracle: {exact}  ({'agree' if exact == v.hat_l else 'DISAGREE'})")
-        if exact != v.hat_l:
-            _emit(args, payload, lines)
-            raise InternalInvariantError(
-                f"oracle hat_l {exact} contradicts classification {v.hat_l} at m={args.m}")
+        _check_oracle(args, payload, lines, exact, v.hat_l,
+                      f"oracle hat_l {exact} contradicts classification "
+                      f"{v.hat_l} at m={args.m}")
     _emit(args, payload, lines)
     return 0
 
@@ -143,7 +142,7 @@ def _write_csv(stream, columns, rows) -> None:
 
 
 def cmd_scan(args) -> int:
-    verdicts = scan_range(args.lo, args.hi, policy=_policy(args))
+    verdicts = scan_range(args.lo, args.hi)
     ## rows feed only the JSON and the CSV, lines only the text output
     rows = [_scan_row(v) for v in verdicts] if args.json or args.csv else None
     if args.csv:
@@ -164,7 +163,7 @@ def cmd_scan(args) -> int:
 def cmd_spectrum(args) -> int:
     cay = CayleySet.from_residues(args.m, _int_list(args.complement))
     spec = spectrum(cay)
-    decision = decide_spectrum(cay, spec, _policy(args))
+    decision = decide_spectrum(cay, spec)
     half = spec.values[: (args.m - 1) // 2 + 1]
     payload = {
         "m": args.m, "complement": cay.residues(), "valency": cay.valency,
@@ -190,10 +189,9 @@ def _table_result(args, name, rows, ok) -> int:
 
 
 def cmd_table1(args) -> int:
-    policy = _policy(args)
     rows, ok = [], True
     for m, (l0_exp, hat_exp) in golden.TABLE1.items():
-        v = classify(m, policy=policy)
+        v = classify(m)
         good = v.hat_l == hat_exp and (l0_exp is None or v.l0 == l0_exp)
         ok &= good
         l0_txt = "-" if l0_exp is None else str(v.l0)
@@ -206,7 +204,6 @@ _MARK_OF_KIND = {KIND_I: "1", KIND_II: "2", KIND_III: "3"}
 
 
 def cmd_table3(args) -> int:
-    policy = _policy(args)
     rows, ok = [], True
     for k in range(4, args.kmax + 1):
         marks = []
@@ -214,7 +211,7 @@ def cmd_table3(args) -> int:
             if c == -5 and k < 19:
                 marks.append("-")
                 continue
-            v = classify(k * k + 5 * k + c, policy=policy)
+            v = classify(k * k + 5 * k + c)
             if not v.witness.member:
                 raise InternalInvariantError(
                     f"family value {v.m} fell outside the candidate set")
@@ -256,18 +253,14 @@ def _family_table(args, name, rows_golden, point_of_y, digits) -> int:
 
 
 def cmd_table4(args) -> int:
-    digits = max(30, args.precision or 0)
-
     def point(y):
         pt = family_eval(1, y, -5)
         return pt.p, pt.q
 
-    return _family_table(args, "table4", golden.TABLE4_ROWS, point, digits)
+    return _family_table(args, "table4", golden.TABLE4_ROWS, point, 30)
 
 
 def cmd_table5(args) -> int:
-    digits = max(30, args.precision or 0)
-
     ## the shifted offset leaves the admissible set, so the polynomials
     ## are evaluated directly; the products must then sit outside the
     ## candidate set and show a positive window margin
@@ -279,18 +272,16 @@ def cmd_table5(args) -> int:
                 f"shifted-family product {p * q} landed in the candidate set")
         return p, q
 
-    return _family_table(args, "table5", golden.TABLE5_ROWS, point, digits)
+    return _family_table(args, "table5", golden.TABLE5_ROWS, point, 30)
 
 
 def cmd_table6(args) -> int:
-    ## moduli near 10**26 with margins near 10**-15 need real precision
-    digits = max(40, args.precision or 0)
-
     def point(y):
         pt = family_eval(64, y, 5)
         return pt.p, pt.q
 
-    return _family_table(args, "table6", golden.TABLE6_ROWS, point, digits)
+    ## moduli near 10**26 with margins near 10**-15 need 40 digits
+    return _family_table(args, "table6", golden.TABLE6_ROWS, point, 40)
 
 
 def cmd_gamma(args) -> int:
@@ -388,14 +379,9 @@ def cmd_abelian(args) -> int:
              f"hat_l = {v.hat_l}"]
     if args.oracle:
         exact = abelian_oracle(group, budget=args.budget)
-        payload["oracle"] = exact
-        lines.append(f"oracle: {exact}  "
-                     f"({'agree' if exact == v.hat_l else 'DISAGREE'})")
-        if exact != v.hat_l:
-            _emit(args, payload, lines)
-            raise InternalInvariantError(
-                f"abelian oracle {exact} contradicts hat_l {v.hat_l} "
-                f"for orders {group.orders}")
+        _check_oracle(args, payload, lines, exact, v.hat_l,
+                      f"abelian oracle {exact} contradicts hat_l {v.hat_l} "
+                      f"for orders {group.orders}")
     _emit(args, payload, lines)
     return 0
 
@@ -412,7 +398,7 @@ def cmd_profile(args) -> int:
     rows = [{"x": pt.x, "mu0": pt.mu0, "mu1": pt.mu1, "mu2": pt.mu2, "rb": pt.rb}
             for pt in pts]
     if args.json:
-        print(json.dumps(rows, indent=2))
+        _emit(args, rows, [])
         return 0
     out = io.StringIO()
     _write_csv(out, ("x", "mu0", "mu1", "mu2", "rb"), rows)
@@ -433,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ramanujan edge-removal bounds for circulant graphs")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
-    parser.add_argument("--precision", type=int, metavar="DIGITS",
-                        help="digits for extended-precision evaluation (>= 30)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one odd order")
@@ -520,9 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision is not None and args.precision < 30:
-        print("error: --precision must be at least 30", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ValidationError as exc:

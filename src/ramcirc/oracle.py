@@ -27,6 +27,7 @@ from math import comb, gcd
 
 import numpy as np
 
+from . import precision
 from .bounds import trivial_bound
 from .classify import semiprime_candidates
 from .errors import (  # DEFAULT_BUDGET stays importable from here
@@ -36,7 +37,6 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
     ValidationError,
 )
 from .numtheory import is_prime, least_prime_factor
-from .precision import DEFAULT_POLICY, NumericPolicy
 from .spectra import (
     CayleySet,
     check_covalency,
@@ -51,9 +51,6 @@ from .spectra import (
 ## chunk size for the vectorised scans, in doubles of one level's sums
 ## (combinations x characters); a scan holds r such levels at once
 _CHUNK_FLOATS = 1 << 17
-
-## |mu| within this of the bound gets re-decided by an exact predicate
-_BORDER_TOL = 1e-9
 
 
 def class_size(m: int, l: int) -> int:
@@ -165,25 +162,26 @@ def _suspects(group, l: int) -> list[CayleySet]:
             for reps, ok in zip((window, packed), fits) if ok]
 
 
-def class_clean(group, l: int, budget: int,
-                policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def class_clean(group, l: int, budget: int) -> bool:
     """Whether no connected complement of covalency l breaks the bound.
 
     group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
     The _suspects are decided first, before the budget is charged; then
-    rows of the scan within _BORDER_TOL of 2*sqrt(|G| - l - 1) are
-    re-decided by is_ramanujan.  An empty class counts as clean.
+    rows of the scan within precision.ESCALATION_MARGIN of
+    2*sqrt(|G| - l - 1) are re-decided by is_ramanujan.  An empty class
+    counts as clean.
     """
     for s in _suspects(group, l):
-        if not is_ramanujan(s, policy).is_ramanujan:
+        if not is_ramanujan(s).is_ramanujan:
             return False
     orders = (group,) if isinstance(group, int) else group.orders
     rb = 2.0 * math.sqrt(math.prod(orders) - l - 1)
+    tol = precision.ESCALATION_MARGIN
     for reps, absmax in scan_class(orders, l, budget):
-        if np.any(absmax > rb + _BORDER_TOL):
+        if np.any(absmax > rb + tol):
             return False
-        for i in np.nonzero(absmax > rb - _BORDER_TOL)[0]:
-            if not is_ramanujan(_cayley(group, reps[i]), policy).is_ramanujan:
+        for i in np.nonzero(absmax > rb - tol)[0]:
+            if not is_ramanujan(_cayley(group, reps[i])).is_ramanujan:
                 return False
     return True
 
@@ -241,15 +239,13 @@ def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     return ClassMax(m, l, best, ramanujan_bound(m, l), _cayley(m, best_row))
 
 
-def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET,
-                        policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET) -> bool:
     """class_clean on Z_m, after validating the covalency."""
     check_covalency(m, l)
-    return class_clean(m, l, budget, policy)
+    return class_clean(m, l, budget)
 
 
-def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> int:
+def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Edge-removal bound by direct search, independent of the theory.
 
     For m <= 13 the classes from l0 + 2 up to m - 2 are climbed.  From
@@ -260,7 +256,7 @@ def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET,
     check_modulus(m)
     l0 = trivial_bound(m)
     hat = climb(m, m - 2 if m <= 13 else l0 + 4,
-                lambda l: class_all_ramanujan(m, l, budget, policy))
+                lambda l: class_all_ramanujan(m, l, budget))
     if m >= 15 and hat == l0 + 4:
         raise InternalInvariantError(
             f"class at covalency l0+4 came out clean for m={m}")
@@ -328,8 +324,7 @@ class CrosscheckReport:
     witness: CayleySet
 
 
-def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> CrosscheckReport:
+def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET) -> CrosscheckReport:
     """Validate the three-candidate formula on one semiprime order.
 
     Scans the full class at covalency l0 + 2, compares its maximum

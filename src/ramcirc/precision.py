@@ -1,11 +1,13 @@
-"""Working-precision policy, exact-argument trigonometry and decide.
+"""The escalation window, exact-argument trigonometry and decide.
 
 IEEE doubles decide almost every comparison in this package.  Whenever a
-margin lands inside the escalation window, the comparison is re-evaluated
-with mpmath at a configurable number of digits, and every trigonometric
-argument is first reduced modulo the period in exact integer arithmetic so
-that accuracy survives moduli around 10**13 and far beyond.  decide is
-the one place where a Ramanujan comparison takes that route.
+margin lands within ESCALATION_MARGIN of zero, or the modulus exceeds
+AUTO_EXTENDED_THRESHOLD, the comparison is re-evaluated with mpmath,
+starting at start_digits(m) digits and doubling until the margin is
+resolved, and every trigonometric argument is first reduced modulo the
+period in exact integer arithmetic so that accuracy survives moduli
+around 10**13 and far beyond.  decide is the one place where a Ramanujan
+comparison takes that route.
 """
 
 from __future__ import annotations
@@ -15,39 +17,21 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import ValidationError
-
 ## doubles carry ~15.9 significant digits; above this modulus the
 ## comparisons made here cannot be trusted to a double at all, so the
 ## extended path is taken from the start.
 AUTO_EXTENDED_THRESHOLD = 1 << 40
 
-
-@dataclass(frozen=True)
-class NumericPolicy:
-    """How borderline comparisons are resolved.
-
-    escalation_margin: absolute margin below which a double-precision
-        comparison is considered unresolved and recomputed with mpmath.
-    extended_digits: decimal digits used for the first extended pass
-        (adaptively doubled if the margin is still below the noise floor).
-    """
-
-    escalation_margin: float = 1e-9
-    extended_digits: int = 50
-
-    def __post_init__(self):
-        if self.escalation_margin <= 0:
-            raise ValidationError("escalation_margin must be positive")
-        if self.extended_digits < 30:
-            raise ValidationError("extended_digits must be at least 30")
-
-    def start_digits(self, m: int) -> int:
-        """Digits for the first extended pass on a comparison at modulus m."""
-        return max(self.extended_digits, len(str(m)) + 25)
+## a double-precision margin closer to zero than this is recomputed in
+## mpmath; callers read it through the module, so one assignment widens
+## every window at once
+ESCALATION_MARGIN = 1e-9
 
 
-DEFAULT_POLICY = NumericPolicy()
+def start_digits(m: int) -> int:
+    """Digits for the first extended pass on a comparison at modulus m."""
+    return max(50, len(str(m)) + 25)
+
 
 MAX_DIGITS = 400
 
@@ -62,15 +46,14 @@ def mp_sinpi_frac(num: int, den: int):
     return mp.sinpi(mp.mpf(num % (2 * den)) / den)
 
 
-def refine_margin(margin_fn, policy: NumericPolicy, start_digits: int,
-                  scale: float = 1.0):
+def refine_margin(margin_fn, digits: int, scale: float = 1.0):
     """Evaluate margin_fn(digits) -> mpf at increasing precision.
 
-    Doubles the working precision until the computed margin clears the
-    noise floor scale * 10**(12 - digits).  Returns (margin, digits,
-    resolved); an unresolved margin after MAX_DIGITS is reported as a tie.
+    Starts at digits and doubles the working precision until the computed
+    margin clears the noise floor scale * 10**(12 - digits).  Returns
+    (margin, digits, resolved); an unresolved margin after MAX_DIGITS is
+    reported as a tie.
     """
-    digits = max(30, start_digits)
     while True:
         with mp.workdps(digits):
             val = margin_fn(digits)
@@ -93,12 +76,11 @@ class RamanujanDecision:
     resolved: bool = True
 
 
-def decide(m: int, l: int, mu_double, mu_mp,
-           policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
+def decide(m: int, l: int, mu_double, mu_mp) -> RamanujanDecision:
     """Decide mu <= 2*sqrt(m - l - 1) for a spectral maximum mu.
 
     mu_double() gives mu in doubles and is used while m is at most
-    AUTO_EXTENDED_THRESHOLD and the margin clears the escalation window;
+    AUTO_EXTENDED_THRESHOLD and the margin clears ESCALATION_MARGIN;
     otherwise mu_mp(digits) gives mu at the current mpmath precision and
     refine_margin raises the digits until the margin is resolved.  The
     comparison is non-strict, and a margin no precision resolves is an
@@ -108,7 +90,7 @@ def decide(m: int, l: int, mu_double, mu_mp,
         mu = mu_double()
         rb = 2.0 * math.sqrt(m - l - 1)
         margin = rb - mu
-        if abs(margin) >= policy.escalation_margin:
+        if abs(margin) >= ESCALATION_MARGIN:
             return RamanujanDecision(margin >= 0.0, mu, rb, margin,
                                      escalated=False)
     ## mu and rb of the final pass, reported without a second evaluation
@@ -119,7 +101,7 @@ def decide(m: int, l: int, mu_double, mu_mp,
         return last["rb"] - last["mu"]
 
     margin, digits, resolved = refine_margin(
-        margin_fn, policy, policy.start_digits(m), scale=max(1.0, math.sqrt(m)))
+        margin_fn, start_digits(m), scale=max(1.0, math.sqrt(m)))
     if not resolved:
         margin = 0.0
     return RamanujanDecision(margin >= 0.0, float(last["mu"]), float(last["rb"]),

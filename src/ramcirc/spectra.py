@@ -27,14 +27,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
-from .precision import (
-    DEFAULT_POLICY,
-    NumericPolicy,
-    RamanujanDecision,
-    decide,
-    mp_cos2pi_frac,
-    mp_sinpi_frac,
-)
+from .precision import RamanujanDecision, decide, mp_cos2pi_frac, mp_sinpi_frac
 
 if TYPE_CHECKING:
     from .abelian import AbelianGroup
@@ -286,17 +279,15 @@ def _mp_mu_max(cayley: CayleySet):
     return best
 
 
-def decide_spectrum(cayley: CayleySet, spec: Spectrum,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
+def decide_spectrum(cayley: CayleySet, spec: Spectrum) -> RamanujanDecision:
     """is_ramanujan(cayley) for a set whose spectrum spec is already known."""
     return decide(cayley.m, cayley.covalency, lambda: spec.mu_max,
-                  lambda _digits: _mp_mu_max(cayley), policy)
+                  lambda _digits: _mp_mu_max(cayley))
 
 
-def is_ramanujan(cayley: CayleySet,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> RamanujanDecision:
+def is_ramanujan(cayley: CayleySet) -> RamanujanDecision:
     """Decide mu_max <= 2*sqrt(k-1) through precision.decide.
 
     The comparison is non-strict: an exact tie counts as Ramanujan.
     """
-    return decide_spectrum(cayley, spectrum(cayley), policy)
+    return decide_spectrum(cayley, spectrum(cayley))

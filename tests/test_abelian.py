@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from ramcirc import oracle
+from ramcirc import oracle, precision
 from ramcirc.abelian import (
     AbelianCayleySet,
     AbelianGroup,
@@ -20,7 +20,7 @@ from ramcirc.abelian import (
 )
 from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.numtheory import sieve_primes
-from ramcirc.precision import MAX_DIGITS, NumericPolicy
+from ramcirc.precision import MAX_DIGITS
 from ramcirc.spectra import CayleySet, is_ramanujan, spectrum
 
 
@@ -165,12 +165,14 @@ class TestSpectrumValues:
         assert d.digits == MAX_DIGITS and d.margin == 0.0
         assert abelian_is_ramanujan(s) is True
 
-    def test_policy_reaches_noncyclic_sets(self):
+    def test_policy_reaches_noncyclic_sets(self, monkeypatch):
         s = CayleySet.from_pairs(AbelianGroup((5, 5)), [(1, 0), (0, 1)])
-        assert not is_ramanujan(s).escalated
-        d = is_ramanujan(s, NumericPolicy(escalation_margin=1e9))
+        plain = is_ramanujan(s)
+        assert not plain.escalated
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", 1e9)
+        d = is_ramanujan(s)
         assert d.escalated and d.resolved and d.digits is not None
-        assert d.is_ramanujan == is_ramanujan(s).is_ramanujan
+        assert d.is_ramanujan == plain.is_ramanujan
 
 
 ## every non-cyclic group below 50 the oracle covers

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ramcirc import golden
+from ramcirc import golden, precision
 from ramcirc.bounds import C_OFFSETS, K_MIN, SMALL_WINDOW, in_candidate_set, trivial_bound
 from ramcirc.classify import (
     _SCAN_CHUNK,
@@ -24,7 +24,7 @@ from ramcirc.classify import (
 )
 from ramcirc.errors import ValidationError
 from ramcirc.numtheory import factorize, family_eval, is_prime
-from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, NumericPolicy
+from ramcirc.precision import AUTO_EXTENDED_THRESHOLD
 from ramcirc.spectra import eigenvalue, spectrum
 
 
@@ -353,8 +353,8 @@ class TestCensus:
 classify_module = importlib.import_module("ramcirc.classify")
 
 
-def _per_order(lo, hi, **kw):
-    return [classify(m, **kw) for m in range(lo, hi + 1, 2)]
+def _per_order(lo, hi):
+    return [classify(m) for m in range(lo, hi + 1, 2)]
 
 
 class TestScanBatches:
@@ -374,19 +374,19 @@ class TestScanBatches:
         chunk = classify_module._scan_chunk
         sizes = []
 
-        def recording(a, b, policy):
+        def recording(a, b):
             sizes.append((b - a) // 2 + 1)
-            return chunk(a, b, policy)
+            return chunk(a, b)
 
         monkeypatch.setattr(classify_module, "_scan_chunk", recording)
         got = scan_range(lo, hi)
         assert sizes == [_SCAN_CHUNK, 301]
         assert got == _per_order(lo, hi)
 
-    def test_wide_escalation_window_sends_every_order_to_classify(self):
-        policy = NumericPolicy(escalation_margin=1e6)
+    def test_wide_escalation_window_sends_every_order_to_classify(self, monkeypatch):
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", 1e6)
         for lo, hi in ((3, 301), (10 ** 6 + 1, 10 ** 6 + 201)):
-            assert scan_range(lo, hi, policy) == _per_order(lo, hi, policy=policy)
+            assert scan_range(lo, hi) == _per_order(lo, hi)
 
     def test_only_candidates_reach_classify(self, monkeypatch):
         lo, hi = 10 ** 6 + 1, 10 ** 6 + 40001

@@ -9,6 +9,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from ramcirc import cli, spectra
 from ramcirc.abelian import AbelianGroup, abelian_hat_l
 from ramcirc.classify import classify, count_exceptionals
@@ -24,15 +26,12 @@ def run(capsys, *argv):
 
 
 class TestGlobalFlags:
-    def test_precision_floor(self, capsys):
-        code, _, err = run(capsys, "--precision", "10", "classify", "35")
-        assert code == 2
-        assert "at least 30" in err
-
-    def test_precision_accepted(self, capsys):
-        code, out, _ = run(capsys, "--precision", "40", "classify", "35")
-        assert code == 0
-        assert "hat_l = 11" in out
+    def test_precision_flag_is_rejected(self, capsys):
+        ## precision.decide works out its digits; there is no flag for them
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", "40", "classify", "35"])
+        assert exc.value.code == 2
+        assert "ramcirc: error:" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -110,7 +109,7 @@ class TestScan:
                  "near_threshold": v.near_threshold} for v in verdicts]
         exceptional = [v.m for v in verdicts if v.verdict == "exceptional"]
         assert out == json.dumps({"rows": rows, "exceptional": exceptional},
-                                 indent=2) + "\n"
+                                 separators=(",", ":")) + "\n"
 
 
 class TestSpectrum:

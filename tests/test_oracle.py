@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ramcirc import oracle
+from ramcirc import oracle, precision
 from ramcirc.abelian import AbelianGroup
 from ramcirc.classify import classify
 from ramcirc.errors import BudgetExceededError, ValidationError
@@ -169,7 +169,7 @@ class TestBorderRows:
                  (AbelianGroup((3, 9)), 9)]
         want = [oracle.class_clean(g, l, 10**6) for g, l in cases]
         assert want == [True, False, True, True, True, False, False]
-        monkeypatch.setattr(oracle, "_BORDER_TOL", 1e9)
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", 1e9)
         assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
 
 

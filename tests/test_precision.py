@@ -1,5 +1,6 @@
 """The one escalation path: precision.decide and who may refine margins."""
 
+import importlib
 import math
 import re
 from pathlib import Path
@@ -7,15 +8,18 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from ramcirc import golden, precision
+from ramcirc import golden, oracle, precision
 from ramcirc.bounds import window_margin
-from ramcirc.classify import classify
+from ramcirc.classify import classify, scan_range
 from ramcirc.oracle import hat_l_exhaustive
-from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, MAX_DIGITS, NumericPolicy, decide
+from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, MAX_DIGITS, decide, start_digits
 
 ## every comparison is inside this escalation window, so every decision
 ## takes the mpmath route
-FORCED = NumericPolicy(escalation_margin=1e6)
+FORCED = 1e6
+
+## ramcirc/__init__ rebinds the name ramcirc.classify to the function
+classify_module = importlib.import_module("ramcirc.classify")
 
 
 def _table3_orders(kmax):
@@ -32,10 +36,12 @@ class TestDecide:
         assert d.digits is None and d.resolved
         assert d.margin == d.rb - 4.5
 
-    def test_forced_policy_escalates(self):
-        d = window_margin(15, 9, FORCED)
-        assert d.escalated and d.resolved and d.digits == FORCED.start_digits(15)
-        assert d.margin == pytest.approx(window_margin(15, 9).margin, abs=1e-15)
+    def test_forced_policy_escalates(self, monkeypatch):
+        plain = window_margin(15, 9)
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", FORCED)
+        d = window_margin(15, 9)
+        assert d.escalated and d.resolved and d.digits == start_digits(15)
+        assert d.margin == pytest.approx(plain.margin, abs=1e-15)
 
     def test_unresolved_margin_is_a_tie(self):
         ## a margin of -10**(12 - digits) stays below the noise floor at
@@ -58,16 +64,69 @@ class TestDecide:
 
 
 class TestForcedEscalation:
-    def test_classification_is_unchanged(self):
+    def test_classification_is_unchanged(self, monkeypatch):
         orders = [*range(3, 2001, 2), *_table3_orders(50)]
-        for m in orders:
-            forced, plain = classify(m, policy=FORCED), classify(m)
+        plain = [classify(m) for m in orders]
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", FORCED)
+        for m, want in zip(orders, plain):
+            forced = classify(m)
             assert (forced.verdict, forced.kind, forced.hat_l) == (
-                plain.verdict, plain.kind, plain.hat_l), m
+                want.verdict, want.kind, want.hat_l), m
 
-    def test_exhaustive_bound_is_unchanged(self):
-        for m in range(3, 30, 2):
-            assert hat_l_exhaustive(m, policy=FORCED) == hat_l_exhaustive(m), m
+    def test_exhaustive_bound_is_unchanged(self, monkeypatch):
+        plain = [hat_l_exhaustive(m) for m in range(3, 30, 2)]
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", FORCED)
+        for m, want in zip(range(3, 30, 2), plain):
+            assert hat_l_exhaustive(m) == want, m
+
+    def test_one_constant_widens_every_window(self, monkeypatch):
+        ## decide, the batched scan and the oracle's border rows all read
+        ## precision.ESCALATION_MARGIN, so patching it alone forces each
+        want = {m: classify(m).hat_l for m in range(3, 30, 2)}
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", FORCED)
+        d = decide(15, 9, lambda: 4.5, lambda digits: mp.mpf(4.5))
+        assert d.escalated and d.resolved and d.digits == start_digits(15)
+
+        seen, real_classify = [], classify_module.classify
+        monkeypatch.setattr(classify_module, "classify",
+                            lambda m: seen.append(m) or real_classify(m))
+        lo, hi = 10 ** 6 + 1, 10 ** 6 + 201
+        assert [v.m for v in scan_range(lo, hi)] == seen == list(range(lo, hi + 1, 2))
+
+        ## per class: the rows scanned, the rows handed to is_ramanujan
+        ## and every is_ramanujan result, suspects included
+        scanned, sent, results = [], [], []
+        real_scan, real_cayley = oracle.scan_class, oracle._cayley
+        real_exact, real_clean = oracle.is_ramanujan, oracle.class_clean
+
+        def scan_class(*args):
+            for reps, absmax in real_scan(*args):
+                scanned.extend(row.tobytes() for row in reps)
+                yield reps, absmax
+
+        def cayley(group, row):
+            sent.append(row.tobytes())
+            return real_cayley(group, row)
+
+        def exact(s):
+            results.append(real_exact(s))
+            return results[-1]
+
+        def class_clean(group, l, budget):
+            del scanned[:], sent[:]
+            clean = real_clean(group, l, budget)
+            assert sent == scanned[:len(sent)], (group, l)
+            ## a class ends early only on a set is_ramanujan rejects
+            assert len(sent) == len(scanned) if clean else (
+                not results[-1].is_ramanujan), (group, l)
+            return clean
+
+        for name, fn in (("scan_class", scan_class), ("_cayley", cayley),
+                         ("is_ramanujan", exact), ("class_clean", class_clean)):
+            monkeypatch.setattr(oracle, name, fn)
+        for m, hat in want.items():
+            assert hat_l_exhaustive(m) == hat, m
+        assert results and all(d.escalated for d in results)
 
 
 def test_refine_margin_is_called_only_in_precision():
