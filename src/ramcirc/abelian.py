@@ -11,7 +11,7 @@ covalency 5 are empty once connectivity is enforced), Z_p x Z_p gains
 one extra step for p in {7, 11, 13, 17} and two for p = 5, and every
 other non-cyclic group is ordinary with hat_l = l0.  abelian_oracle
 checks this on a group of any order with ramcirc.oracle.class_clean,
-whose suspect sets settle the ordinary groups without a scan.
+which reads each class maximum off the sorted rows of the pair table.
 
 Cayley sets, spectra and the Ramanujan predicate are ramcirc.spectra's,
 whose CayleySet takes an AbelianGroup; the abelian_* names alias them.
@@ -212,8 +212,9 @@ def abelian_oracle(group: AbelianGroup, l_max: int | None = None,
     Classes of covalency at most l0 are Ramanujan outright, so the climb
     starts at l0 + 2 and stops at the first class containing a valid
     (connected) violator; a class left empty by the connectivity
-    requirement passes vacuously.  A class that needs a scan of more
-    than budget sets raises BudgetExceededError.
+    requirement passes vacuously.  A pair table of more than budget
+    entries, or a fallback scan of more than budget sets, raises
+    BudgetExceededError.
     """
     return climb(group.order, group.order - 2 if l_max is None else l_max,
                  lambda l: class_clean(group, l, budget))

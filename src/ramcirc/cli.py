@@ -6,8 +6,8 @@ report PASS or FAIL per row, exiting 3 on any mismatch; `--json` swaps
 the text output for one compact JSON document.  Extended precision needs
 no flag: precision.decide works out the digits of each comparison.
 
-Exit codes: 0 success, 2 invalid input or an exceeded enumeration
-budget, 3 an internal invariant or reference-table violation.
+Exit codes: 0 success, 2 invalid input or an exceeded budget, 3 an
+internal invariant or reference-table violation.
 """
 
 from __future__ import annotations
@@ -428,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hatl", help="edge-removal bound for one odd order")
     p.add_argument("m", type=int)
     p.add_argument("--oracle", action="store_true",
-                   help="verify against exhaustive enumeration")
+                   help="verify by exact class maxima, read from sorted rows "
+                        "of the pair table; exit 2 if the table exceeds --budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_hatl)
 
@@ -488,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", required=True, metavar="LIST",
                    help="invariant factor chain, comma-separated")
     p.add_argument("--oracle", action="store_true",
-                   help="verify by exhaustion; exit 2 if a scan exceeds --budget")
+                   help="verify by exact class maxima, read from sorted rows "
+                        "of the pair table; exit 2 if the table exceeds --budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_abelian)
 

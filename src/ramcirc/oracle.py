@@ -1,30 +1,48 @@
-"""Exhaustive verification of edge-removal bounds by direct enumeration.
+"""Exhaustive verification of edge-removal bounds, one table row per character.
 
 A complement class is the set of all negation-closed complements of odd
-size l containing the identity.  One engine enumerates it for any odd
-abelian group, given by its invariant factors (Z_m is the rank-1 case
-(m,)), against one table of pair characters, since chi and -chi agree
-on a symmetric set.  The removed pairs are combined in lexicographic
-order, in numpy chunks with shared prefixes: a set's character sums
-are its prefix's sums plus one table row, and a chunk bounds
-combinations x characters at one level.  Raw class sizes grow as
-C((|G|-1)/2, (l-1)/2), so every scan is gated by an explicit budget.
+size l = 2r + 1 containing the identity, on any odd abelian group given
+by its invariant factors (Z_m is the rank-1 case (m,)).  Removing the r
+pairs T leaves the character chi the eigenvalue
+
+    mu_chi(T) = -1 - sum_{b in T} 2*cos(2*pi*<chi, b>/L),
+
+which is linear in T, and chi and -chi agree on a symmetric set.  So
+over the class, |mu_chi| is largest at the r largest or the r smallest
+entries of chi's row of the pair table, and the class maximum is the
+largest of those row extremes: one sorted row per pair character
+instead of C(h, r) sets, h = (|G| - 1)/2.  A kept set in a proper
+subgroup lies in a character kernel, so T holds every pair outside it,
+at least |G|/3 pairs; below r = |G|/3 every set of the class generates
+G and the row maximum is the class maximum.  The budget is charged for
+the h^2 table entries, built in blocks of rows.
+
+scan_class, the enumeration engine, is the fallback for the classes
+where generation can bind and no violating row's extreme set generates
+(none of those that hat_l_exhaustive climbs for odd m <= 3001, or
+abelian_oracle for the odd groups of order at most 1001), and the
+reference the tests hold the rows against.  It combines the removed
+pairs in lexicographic order, in numpy chunks with shared prefixes: a
+set's character sums are its prefix's sums plus one table row.  Class
+sizes grow as C(h, r), so it is gated by a budget in sets.
 
 Everything here is deliberately independent of the closed-form route:
 no window formulas, no candidate-set reasoning, no factorisation, just
-brute force.  The one shortcut is provable on its own: covalencies
-l <= l0 satisfy (l + 2)^2 <= 4m, hence mu <= l <= 2*sqrt(m - l - 1), so
-those classes are Ramanujan without scanning.  Two suspect sets may end
-a class early, but is_ramanujan decides them like any scanned row.
+the definition of the spectrum.  The one shortcut is provable on its
+own: covalencies l <= l0 satisfy (l + 2)^2 <= 4m, hence
+mu <= l <= 2*sqrt(m - l - 1), so those classes are Ramanujan without a
+table.  A row extreme or a scanned row within
+precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1) is decided from its
+exact phases by precision.decide.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from math import comb, gcd
 
+import mpmath as mp
 import numpy as np
 
 from . import precision
@@ -37,8 +55,11 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
     ValidationError,
 )
 from .numtheory import is_prime, least_prime_factor
+from .precision import mp_cos2pi_frac
 from .spectra import (
+    _BLOCK,
     CayleySet,
+    _cos2,
     check_covalency,
     check_modulus,
     is_ramanujan,
@@ -53,6 +74,50 @@ from .spectra import (
 _CHUNK_FLOATS = 1 << 17
 
 
+def _row_extremes(orders: tuple[int, ...], r: int, budget: int):
+    """Yield (K, absmax, from_top) over blocks of consecutive pair characters.
+
+    K holds the block's rows of the pair table, phases against every
+    pair in the order of spectra.pair_characters, folded to
+    min(k, L - k) as spectra._cos2 folds them.  With top and bottom the
+    sums of the r largest and the r smallest entries 2*cos(2*pi*k/L) of
+    a row, absmax is max(1 + top, -1 - bottom), the row's largest |mu|
+    over the class, and from_top whether 1 + top attains it.  The cosine
+    falls as a folded phase grows, so both sums are read off the sorted
+    phases, and rows with one multiset of phases (a unit orbit) give the
+    same bits.  The budget is charged for the h^2 table entries, h the
+    number of pairs.
+    """
+    h, L = (math.prod(orders) - 1) // 2, orders[-1]
+    if h * h > budget:
+        raise BudgetExceededError(h * h, budget, "table entries")
+    R = pair_characters(orders)
+    cos2 = _cos2(L, np.arange(L // 2 + 1))
+    step = max(1, _BLOCK // h)
+    for lo in range(0, h, step):
+        K = phase_table(orders, R[lo:lo + step], R)
+        K = np.minimum(K, L - K)
+        S = np.sort(K, axis=1)
+        top = 1.0 + cos2[S[:, :r]].sum(axis=1)
+        bottom = -(1.0 + cos2[S[:, h - r:]].sum(axis=1))
+        yield K, np.maximum(top, bottom), top >= bottom
+
+
+def _mp_row_max(k: np.ndarray, r: int, L: int):
+    """The absmax of the folded row k in mpmath, from its exact phases."""
+    s = np.sort(k).tolist()
+    return max(abs(1 + mp.fsum(2 * mp_cos2pi_frac(x, L) for x in side))
+               for side in (s[:r], s[len(s) - r:]))
+
+
+def _extreme_reps(orders: tuple[int, ...], k: np.ndarray, r: int,
+                  from_top: bool) -> np.ndarray:
+    """The pairs of the r largest (from_top) or the r smallest entries of
+    the folded row k, ties in index order."""
+    order = np.argsort(k if from_top else -k, kind="stable")
+    return pair_characters(orders)[order[:r]]
+
+
 def class_size(m: int, l: int) -> int:
     """Raw number of negation-closed size-l complements containing 0.
 
@@ -65,18 +130,18 @@ def class_size(m: int, l: int) -> int:
 
 
 def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
-    """Yield (reps, absmax) chunks over the connected covalency-l class.
+    """Yield (idx, absmax) chunks over the connected covalency-l class.
 
     G has invariant factors orders and l is an odd covalency in
     [1, |G| - 2]; callers validate both.  Each negation pair is
     represented by its first element in product order (for Z_m, i + 1),
-    and the same representatives index the pair characters in
-    spectra.phase_table: phases[i, j] = <rep_j, rep_i> in units of
-    1/exponent.  reps[k] holds one complement's removed representatives
-    and absmax[k] its largest |lambda_chi|.  Every proper subgroup lies
-    in a character kernel, so a complement that removes every pair
-    outside some kernel leaves a kept set that does not generate G; such
-    rows are dropped.
+    and the same representatives R = spectra.pair_characters(orders)
+    index the pair characters in spectra.phase_table: phases[i, j] =
+    <R[j], R[i]> in units of 1/exponent.  idx[k] holds one complement's
+    removed pairs as indices into R, and absmax[k] its largest
+    |lambda_chi|.  Every proper subgroup lies in a character kernel, so
+    a complement that removes every pair outside some kernel leaves a
+    kept set that does not generate G; such rows are dropped.
     """
     h, r = (math.prod(orders) - 1) // 2, (l - 1) // 2
     size = comb(h, r)
@@ -98,7 +163,7 @@ def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
             if not keep.any():
                 continue
             idx, absmax = idx[keep], absmax[keep]
-        yield R[idx], absmax
+        yield idx, absmax
 
 
 def _combo_sums(P: np.ndarray, r: int, rows: int):
@@ -141,47 +206,55 @@ def _combo_sums(P: np.ndarray, r: int, rows: int):
     yield from grow(top[None, :], P[:, : h - r + 1])
 
 
-def _suspects(group, l: int) -> list[CayleySet]:
-    """Two complements likely to break the bound, with r = (l - 1)/2: the
-    window +-1 .. +-r along the last cyclic factor, when 2r < L (the
-    exponent), and the first r pairs in product order of the character
-    kernel H = {x : p | x_last}, p the least prime of L, when H holds that
-    many; on Z_m these are the window and p, 2p, ..., rp."""
-    orders = (group,) if isinstance(group, int) else group.orders
-    L, r = orders[-1], (l - 1) // 2
-    p = next((d for d in range(3, math.isqrt(L) + 1, 2) if L % d == 0), L)
-    if isinstance(group, int):
-        window, packed = range(1, r + 1), range(p, p * r + 1, p)
-    else:
-        lead = (0,) * (len(orders) - 1)
-        window = [lead + (j,) for j in range(1, r + 1)]
-        H = itertools.product(*map(range, orders[:-1]), range(0, L, p))
-        packed = itertools.islice((x for x in H if x < group.negate(x)), r)
-    fits = (2 * r < L, l * p <= math.prod(orders))
-    return [CayleySet.from_pairs(group, reps)
-            for reps, ok in zip((window, packed), fits) if ok]
+def _generates(group, reps: np.ndarray) -> bool:
+    """Whether the kept set of the complement removing reps generates G."""
+    try:
+        _cayley(group, reps)
+    except ValidationError:
+        return False
+    return True
 
 
 def class_clean(group, l: int, budget: int) -> bool:
     """Whether no connected complement of covalency l breaks the bound.
 
     group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
-    The _suspects are decided first, before the budget is charged; then
-    rows of the scan within precision.ESCALATION_MARGIN of
-    2*sqrt(|G| - l - 1) are re-decided by is_ramanujan.  An empty class
-    counts as clean.
+    Every row extreme within precision.ESCALATION_MARGIN of
+    2*sqrt(|G| - l - 1), or past it, goes through precision.decide,
+    whose extended value is the same r-sum from exact phases.  A
+    violating row ends the class when its extreme set generates G, as
+    every set does for 3r < |G|; when no violating row's set generates,
+    the class is scanned.  An empty class counts as clean.
     """
-    for s in _suspects(group, l):
-        if not is_ramanujan(s).is_ramanujan:
-            return False
     orders = (group,) if isinstance(group, int) else group.orders
+    n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
+    rb = 2.0 * math.sqrt(n - l - 1)
+    unsettled = False
+    for K, absmax, from_top in _row_extremes(orders, r, budget):
+        for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
+            k = K[i]
+            if precision.decide(n, l, lambda: float(absmax[i]),
+                                lambda _digits: _mp_row_max(k, r, L)).is_ramanujan:
+                continue
+            if 3 * r < n or _generates(
+                    group, _extreme_reps(orders, k, r, from_top[i])):
+                return False
+            unsettled = True
+    return _scan_clean(group, l, budget) if unsettled else True
+
+
+def _scan_clean(group, l: int, budget: int) -> bool:
+    """class_clean by scan_class: rows within precision.ESCALATION_MARGIN
+    of the bound are re-decided by is_ramanujan."""
+    orders = (group,) if isinstance(group, int) else group.orders
+    R = pair_characters(orders)
     rb = 2.0 * math.sqrt(math.prod(orders) - l - 1)
     tol = precision.ESCALATION_MARGIN
-    for reps, absmax in scan_class(orders, l, budget):
+    for idx, absmax in scan_class(orders, l, budget):
         if np.any(absmax > rb + tol):
             return False
         for i in np.nonzero(absmax > rb - tol)[0]:
-            if not is_ramanujan(_cayley(group, reps[i])).is_ramanujan:
+            if not is_ramanujan(_cayley(group, R[idx[i]])).is_ramanujan:
                 return False
     return True
 
@@ -208,8 +281,9 @@ def _cayley(group, reps: np.ndarray) -> CayleySet:
 def enumerate_class(m: int, l: int, budget: int = DEFAULT_BUDGET):
     """Yield every valid complement in the class, smallest pairs first."""
     check_covalency(m, l)
-    for reps, _ in scan_class((m,), l, budget):
-        for row in reps:
+    R = pair_characters((m,))
+    for idx, _ in scan_class((m,), l, budget):
+        for row in R[idx]:
             yield _cayley(m, row)
 
 
@@ -225,15 +299,33 @@ class ClassMax:
 
 
 def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
-    """Scan the entire class and report the extremal complement."""
+    """The class maximum from the rows of the pair table, and its witness.
+
+    The witness is the r pairs of the first row that attains the
+    maximum, the largest or the smallest entries as the maximum takes
+    them, ties in index order.  Where that set does not generate Z_m,
+    which needs 3r >= m, the class is scanned instead.
+    """
     check_covalency(m, l)
-    best = -math.inf
-    best_row = None
-    for reps, absmax in scan_class((m,), l, budget):
+    r, best = (l - 1) // 2, -math.inf
+    for K, absmax, from_top in _row_extremes((m,), r, budget):
         i = int(np.argmax(absmax))
         if absmax[i] > best:
-            best = float(absmax[i])
-            best_row = reps[i]
+            best, k, side = float(absmax[i]), K[i], from_top[i]
+    try:
+        witness = _cayley(m, _extreme_reps((m,), k, r, side))
+    except ValidationError:
+        return _scan_max(m, l, budget)
+    return ClassMax(m, l, best, ramanujan_bound(m, l), witness)
+
+
+def _scan_max(m: int, l: int, budget: int) -> ClassMax:
+    """class_max by scan_class, over the connected sets alone."""
+    best, best_row, R = -math.inf, None, pair_characters((m,))
+    for idx, absmax in scan_class((m,), l, budget):
+        i = int(np.argmax(absmax))
+        if absmax[i] > best:
+            best, best_row = float(absmax[i]), R[idx[i]]
     if best_row is None:
         raise InternalInvariantError(f"class m={m}, l={l} has no valid sets")
     return ClassMax(m, l, best, ramanujan_bound(m, l), _cayley(m, best_row))
@@ -249,9 +341,9 @@ def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Edge-removal bound by direct search, independent of the theory.
 
     For m <= 13 the classes from l0 + 2 up to m - 2 are climbed.  From
-    m = 15 on, only l0 + 2 and l0 + 4 are scanned; a clean l0 + 4 would contradict
-    the window set breaking the bound there and is reported as an
-    internal error.
+    m = 15 on, only l0 + 2 and l0 + 4 are decided; a clean l0 + 4 would
+    contradict the window set breaking the bound there and is reported
+    as an internal error.
     """
     check_modulus(m)
     l0 = trivial_bound(m)
@@ -327,7 +419,7 @@ class CrosscheckReport:
 def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET) -> CrosscheckReport:
     """Validate the three-candidate formula on one semiprime order.
 
-    Scans the full class at covalency l0 + 2, compares its maximum
+    Takes the class maximum at covalency l0 + 2, compares it
     against max(mu0, mu1, mu2), and identifies the extremal set as one
     of the predicted families up to a unit multiplier.
     """

@@ -18,6 +18,7 @@ from ramcirc.abelian import (
     abelian_spectrum,
     pp_excess,
 )
+from ramcirc.bounds import trivial_bound
 from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.numtheory import sieve_primes
 from ramcirc.precision import MAX_DIGITS
@@ -315,17 +316,18 @@ class TestOracle:
 
         groups = [c for a in range(3, 1002, 2) for c in chains([a], a)]
         assert len(groups) == 149
-        over = [(p, p) for p in (11, 13, 17, 19, 23, 29, 31)]
-        for orders in groups:
-            if orders not in over:
-                g = AbelianGroup(orders)
-                assert abelian_oracle(g) == abelian_hat_l(g).hat_l, orders
-
-        ## no suspect fits their l0 + 2 classes, and those are over budget
+        ## the rows of the pair table decide every class climbed, with no
+        ## scan, even on Z_p x Z_p for 11 <= p <= 31, whose l0 + 2 classes
+        ## hold more than 1e7 sets
         def no_scan(*args):
-            raise AssertionError("scanned a class over the budget")
+            raise AssertionError("scanned a class")
 
         monkeypatch.setattr(oracle, "_combo_sums", no_scan)
-        for orders in over:
-            with pytest.raises(BudgetExceededError):
-                abelian_oracle(AbelianGroup(orders))
+        for orders in groups:
+            g = AbelianGroup(orders)
+            assert abelian_oracle(g) == abelian_hat_l(g).hat_l, orders
+        for p in (11, 13, 17, 19, 23, 29, 31):
+            l0 = trivial_bound(p * p)
+            assert math.comb((p * p - 1) // 2, (l0 + 1) // 2) > 10 ** 7
+            assert abelian_oracle(AbelianGroup((p, p))) == (
+                l0 + 2 if p <= 17 else l0), p

@@ -272,10 +272,18 @@ class TestAbelian:
         assert "oracle: 15  (agree)" in out
         assert "Traceback" not in err
 
+    def test_oracle_decides_11x11(self, capsys):
+        ## its l0 + 2 class holds 7.5e10 sets; its pair table, 3600 entries
+        code, out, err = run(capsys, "abelian", "--orders", "11,11", "--oracle")
+        assert code == 0
+        assert "oracle: 21  (agree)" in out
+        assert "Traceback" not in err
+
     def test_oracle_over_budget_exits_2(self, capsys):
-        code, _, err = run(capsys, "abelian", "--orders", "11,11", "--oracle")
+        code, _, err = run(capsys, "abelian", "--orders", "11,11", "--oracle",
+                           "--budget", "10")
         assert code == 2
-        assert "error: enumeration needs" in err and "budget is" in err
+        assert "error: enumeration needs 3600 table entries, budget is 10" in err
         assert "Traceback" not in err
 
     def test_rejects_even_orders(self, capsys):

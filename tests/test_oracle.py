@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ramcirc import oracle, precision
-from ramcirc.abelian import AbelianGroup
+from ramcirc.abelian import AbelianGroup, abelian_oracle
+from ramcirc.bounds import trivial_bound
 from ramcirc.classify import classify
 from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.oracle import (
@@ -19,7 +20,7 @@ from ramcirc.oracle import (
     scan_class,
     semiprime_crosscheck,
 )
-from ramcirc.spectra import CayleySet, eigenvalue, spectrum, window_complement
+from ramcirc.spectra import CayleySet, pair_characters, spectrum, window_complement
 
 
 class TestEnumeration:
@@ -70,9 +71,10 @@ class TestScanFilter:
             def complement(pairs):
                 return frozenset([g.identity, *pairs, *map(g.negate, pairs)])
 
+            R = pair_characters(orders)
             for l in range(1, g.order - 1, 2):
                 kept = {complement([tuple(t) for t in row.tolist()])
-                        for chunk, _ in scan_class(orders, l) for row in chunk}
+                        for idx, _ in scan_class(orders, l) for row in R[idx]}
                 ## a proper subgroup of an odd-order group has at most |G|/3
                 ## elements, so larger kept sets span; otherwise ask spans,
                 ## whose subgroup from the kept pair representatives is the
@@ -134,7 +136,9 @@ def _reference_scan(orders, l):
 
 def _assert_same_scan(orders, l):
     ## chunk seams differ, so compare the concatenated bytes
-    got, want = list(scan_class(orders, l)), list(_reference_scan(orders, l))
+    R = pair_characters(orders)
+    got = [(R[idx], absmax) for idx, absmax in scan_class(orders, l)]
+    want = list(_reference_scan(orders, l))
     for part in (0, 1):
         assert (b"".join(c[part].tobytes() for c in got)
                 == b"".join(c[part].tobytes() for c in want)), (orders, l, part)
@@ -161,9 +165,9 @@ def _accepts(group, pairs):
 
 class TestBorderRows:
     def test_exact_redecision_reaches_both_forms(self, monkeypatch):
-        ## with a huge tolerance every row of a class is re-decided by
-        ## is_ramanujan on a CayleySet, of the int form for Z_m and of the
-        ## tuple form for an AbelianGroup; the verdicts must not move
+        ## with a huge tolerance every row extreme of a class is re-decided
+        ## in mpmath, on Z_m given as an int and as an AbelianGroup and on
+        ## non-cyclic groups; the verdicts must not move
         cases = [(15, 7), (15, 9), (AbelianGroup((15,)), 7), (AbelianGroup((3, 3)), 5),
                  (AbelianGroup((5, 5)), 11), (AbelianGroup((5, 5)), 13),
                  (AbelianGroup((3, 9)), 9)]
@@ -173,42 +177,72 @@ class TestBorderRows:
         assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
 
 
-class TestSuspects:
+class TestRowRoute:
     ## Z_m for odd m <= 45, and the non-cyclic groups of order at most 45
     GROUPS = list(range(3, 46, 2)) + [
         AbelianGroup(o) for o in ((3, 3), (5, 5), (3, 9), (3, 3, 3), (3, 15))]
 
-    def test_suspects_only_end_a_class_early(self, monkeypatch):
+    def test_rows_decide_every_class_as_the_scan(self):
         cases = [(g, l) for g in self.GROUPS for l in range(1, _order(g) - 1, 2)
                  if math.comb((_order(g) - 1) // 2, (l - 1) // 2) <= 2 * 10**5]
         assert len(cases) == 297
-        want = [oracle.class_clean(g, l, 10**6) for g, l in cases]
-        for g, l in cases:
-            orders = (g,) if isinstance(g, int) else g.orders
-            L = orders[-1]
-            p = next(d for d in range(3, L + 1, 2) if L % d == 0)
-            if _order(g) // p < l:
-                continue
-            ## the set packed into H = {x : p | x_last} has eigenvalue -l
-            ## at the character with kernel H
-            packed = oracle._suspects(g, l)[-1]
-            assert packed.covalency == l, (g, l)
-            chi = L // p if isinstance(g, int) else (0,) * (len(orders) - 1) + (L // p,)
-            assert eigenvalue(packed, chi) == -l, (g, l)
-        monkeypatch.setattr(oracle, "_suspects", lambda group, l: [])
-        assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
+        got = [oracle.class_clean(g, l, 10**6) for g, l in cases]
+        assert got == [oracle._scan_clean(g, l, 10**6) for g, l in cases]
 
-    def test_no_scan_for_ordinary_orders_but_21(self):
-        ## with budget 0 any scan raises, so every answer below comes from
-        ## a suspect alone; 21's violator lies in the multiples of 7, but
-        ## the packed suspect uses its least prime, 3, which does not fit
-        for m in range(15, 2002, 2):
-            v = classify(m)
-            if v.verdict == "ordinary" and m != 21:
-                assert hat_l_exhaustive(m, budget=0) == v.hat_l, m
-            else:
-                with pytest.raises(BudgetExceededError):
-                    hat_l_exhaustive(m, budget=0)
+    def test_no_scan_to_2001(self, monkeypatch):
+        ## generation cannot bind in the l0 + 2 and l0 + 4 classes from
+        ## m = 15 on, so the rows decide them alone; below 15 every class
+        ## climbed passes on the rows, an upper bound over the class
+        def scan_class(*args):
+            raise AssertionError("scanned a class")
+
+        monkeypatch.setattr(oracle, "scan_class", scan_class)
+        for m in range(3, 2002, 2):
+            assert hat_l_exhaustive(m) == classify(m).hat_l, m
+
+    def test_table_budget(self):
+        ## the budget counts the h^2 entries of the pair table
+        assert class_max(101, 21, budget=50 * 50).mu > 0
+        with pytest.raises(BudgetExceededError) as e:
+            class_max(101, 21, budget=50 * 50 - 1)
+        assert (e.value.required, e.value.budget) == (2500, 2499)
+        assert "table entries" in str(e.value)
+
+
+class TestRowsMatchTheScan:
+    def test_class_max_on_every_affordable_cyclic_class(self):
+        ## odd m <= 65 at l0 + 2 and l0 + 4: up to 1.05e7 sets a class
+        for m in range(15, 66, 2):
+            l0 = trivial_bound(m)
+            for l in (l0 + 2, l0 + 4):
+                got, want = class_max(m, l), oracle._scan_max(m, l, 10**8)
+                assert got.mu == pytest.approx(want.mu, abs=1e-12), (m, l)
+                ## a CayleySet's kept set generates; the witness is the scan's
+                ## up to a unit multiplier, which permutes the characters
+                assert got.witness.covalency == l
+                assert spectrum(got.witness).mu_max == pytest.approx(got.mu, abs=1e-12)
+                assert oracle._unit_orbit_match(got.witness, want.witness), (m, l)
+                assert oracle.class_clean(m, l, 10**8) == (want.mu <= want.rb)
+
+    def test_every_class_climbed_on_the_groups_to_49(self):
+        groups = [(m,) for m in range(3, 50, 2)] + [
+            (3, 3), (5, 5), (3, 9), (3, 3, 3), (3, 15), (7, 7)]
+        assert len(groups) == 30
+        for orders in groups:
+            g = AbelianGroup(orders)
+            n = g.order
+            hat = abelian_oracle(g)
+            for l in range(trivial_bound(n) + 2, min(hat + 2, n - 2) + 1, 2):
+                clean = oracle.class_clean(g, l, 10**8)
+                assert clean == oracle._scan_clean(g, l, 10**8), (orders, l)
+                assert clean == (l <= hat), (orders, l)
+                if 3 * ((l - 1) // 2) >= n:
+                    continue
+                ## every set generates here, so the row maximum is the scan's
+                rows = max(absmax.max() for _, absmax, _ in
+                           oracle._row_extremes(orders, (l - 1) // 2, 10**8))
+                scan = max(a.max() for _, a in scan_class(orders, l))
+                assert rows == pytest.approx(scan, abs=1e-12), (orders, l)
 
 
 def _order(group):
@@ -260,11 +294,16 @@ class TestHatL:
         for m in range(57, 82, 2):
             assert hat_l_exhaustive(m) == classify(m).hat_l, m
 
+    @pytest.mark.slow
+    def test_agrees_with_classifier_to_3001(self):
+        for m in range(3, 3002, 2):
+            assert hat_l_exhaustive(m) == classify(m).hat_l, m
+
 
 class TestCrosscheck:
     def test_reference_orders(self):
         expected_family = {15: "window", 21: "q_multiples",
-                          35: "window", 55: "window"}
+                          35: "window", 55: "window", 65: "q_multiples"}
         for m, fam in expected_family.items():
             r = semiprime_crosscheck(m)
             assert r.agrees, m

@@ -80,7 +80,7 @@ class TestForcedEscalation:
             assert hat_l_exhaustive(m) == want, m
 
     def test_one_constant_widens_every_window(self, monkeypatch):
-        ## decide, the batched scan and the oracle's border rows all read
+        ## decide, the batched scan and the oracle's row extremes all read
         ## precision.ESCALATION_MARGIN, so patching it alone forces each
         want = {m: classify(m).hat_l for m in range(3, 30, 2)}
         monkeypatch.setattr(precision, "ESCALATION_MARGIN", FORCED)
@@ -93,40 +93,37 @@ class TestForcedEscalation:
         lo, hi = 10 ** 6 + 1, 10 ** 6 + 201
         assert [v.m for v in scan_range(lo, hi)] == seen == list(range(lo, hi + 1, 2))
 
-        ## per class: the rows scanned, the rows handed to is_ramanujan
-        ## and every is_ramanujan result, suspects included
-        scanned, sent, results = [], [], []
-        real_scan, real_cayley = oracle.scan_class, oracle._cayley
-        real_exact, real_clean = oracle.is_ramanujan, oracle.class_clean
+        ## per class: the rows built and every decision on a row extreme
+        rows, decisions = [], []
+        real_rows, real_decide = oracle._row_extremes, precision.decide
+        real_clean = oracle.class_clean
 
-        def scan_class(*args):
-            for reps, absmax in real_scan(*args):
-                scanned.extend(row.tobytes() for row in reps)
-                yield reps, absmax
+        def row_extremes(*args):
+            for block in real_rows(*args):
+                rows.append(len(block[0]))
+                yield block
 
-        def cayley(group, row):
-            sent.append(row.tobytes())
-            return real_cayley(group, row)
-
-        def exact(s):
-            results.append(real_exact(s))
-            return results[-1]
+        def decide_row(*args):
+            decisions.append(real_decide(*args))
+            return decisions[-1]
 
         def class_clean(group, l, budget):
-            del scanned[:], sent[:]
+            del rows[:], decisions[:]
             clean = real_clean(group, l, budget)
-            assert sent == scanned[:len(sent)], (group, l)
-            ## a class ends early only on a set is_ramanujan rejects
-            assert len(sent) == len(scanned) if clean else (
-                not results[-1].is_ramanujan), (group, l)
+            assert decisions and all(d.escalated for d in decisions), (group, l)
+            ## a clean class decides every row; any other ends on the first
+            ## row that decide rejects
+            assert [d.is_ramanujan for d in decisions] == (
+                [True] * sum(rows) if clean
+                else [True] * (len(decisions) - 1) + [False]), (group, l)
             return clean
 
-        for name, fn in (("scan_class", scan_class), ("_cayley", cayley),
-                         ("is_ramanujan", exact), ("class_clean", class_clean)):
+        for name, fn in (("_row_extremes", row_extremes),
+                         ("class_clean", class_clean)):
             monkeypatch.setattr(oracle, name, fn)
+        monkeypatch.setattr(precision, "decide", decide_row)
         for m, hat in want.items():
             assert hat_l_exhaustive(m) == hat, m
-        assert results and all(d.escalated for d in results)
 
 
 def test_refine_margin_is_called_only_in_precision():
