@@ -21,8 +21,8 @@ c = -5).  Membership is decided by an exact integer square test on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
 from .precision import RamanujanDecision, decide
@@ -81,13 +81,13 @@ def negative_excess_window(k: int) -> tuple[int, int]:
     return (k * k + 5 * k - c, k * k + 5 * k + 5)
 
 
-@dataclass(frozen=True)
-class CandidateWitness:
+class CandidateWitness(NamedTuple):
     """How (and whether) m sits in the candidate set.
 
     source is "small_window" for odd 15 <= m <= 29 and "quadratic" when
     4m + 25 - 4c is an odd perfect square s^2 with k = (s - 5)/2 in range;
-    c and k are filled only in the quadratic case.
+    c and k are filled only in the quadratic case.  An immutable
+    NamedTuple record: read it by attribute, not by position.
     """
 
     m: int

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -71,14 +72,14 @@ VERDICT_EXCEPTIONAL = "exceptional"
 VERDICT_ALL_RAMANUJAN = "all_ramanujan"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of classifying one odd order.
 
     mu_hat is the decisive eigenvalue magnitude where the decision is
     numeric (candidate maximum for kinds I/II, window value outside the
     candidate set, the exact integer l0 + 2 for kind "other"); it stays
     None for kind III and for m <= 13.  epsilon is None for m <= 13.
+    An immutable NamedTuple record: read it by attribute, not position.
     """
 
     m: int
@@ -488,7 +489,7 @@ def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
     fast = ~member & (margin <= -precision.ESCALATION_MARGIN)
     return [
         Verdict(mi, l0i, CandidateWitness(mi, False), KIND_OUTSIDE,
-                VERDICT_ORDINARY, 0, l0i, mu_hat=mui, rb=rbi, margin=di)
+                VERDICT_ORDINARY, 0, l0i, None, None, mui, rbi, di)
         if ok else classify(mi)
         for mi, l0i, mui, rbi, di, ok in zip(
             m.tolist(), l0.tolist(), mu.tolist(), rb.tolist(),
@@ -497,17 +498,15 @@ def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
 
 
 def scan_range(lo: int, hi: int) -> list[Verdict]:
-    """Classify every odd order in [lo, hi] (both at least 3).
+    """Classify every odd order m >= 3 in [lo, hi]; raise if there is none.
 
     In [31, 2**40), orders outside the candidate set J are decided in
     numpy batches, and everything else goes through classify, with
     output identical to calling classify on each order.
     """
+    lo = max(3, lo | 1)  # the first odd order >= max(lo, 3)
     if lo > hi:
         raise ValidationError("empty scan range")
-    lo = max(3, lo)
-    if lo % 2 == 0:
-        lo += 1
     fast_lo = max(lo, _SCAN_FROM)
     fast_hi = min(hi, AUTO_EXTENDED_THRESHOLD - 1)
     verdicts = [classify(m) for m in range(lo, min(hi, fast_lo - 2) + 1, 2)]

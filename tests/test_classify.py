@@ -2,16 +2,25 @@
 
 import importlib
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ramcirc import golden, precision
-from ramcirc.bounds import C_OFFSETS, K_MIN, SMALL_WINDOW, in_candidate_set, trivial_bound
+from ramcirc.bounds import (
+    C_OFFSETS,
+    K_MIN,
+    SMALL_WINDOW,
+    CandidateWitness,
+    in_candidate_set,
+    trivial_bound,
+)
 from ramcirc.classify import (
     _SCAN_CHUNK,
     REGIME_ORDERS,
+    Verdict,
     classify,
     exceptional_orders,
     ordinary_witness,
@@ -339,6 +348,11 @@ class TestCensus:
         with pytest.raises(ValidationError):
             scan_range(30, 10)
 
+    @pytest.mark.parametrize("lo, hi", [(4, 4), (1, 2), (-5, -3), (30, 30)])
+    def test_range_without_odd_order_from_3_is_rejected(self, lo, hi):
+        with pytest.raises(ValidationError, match="empty scan range"):
+            scan_range(lo, hi)
+
     def test_exceptional_census_to_100(self):
         assert tuple(exceptional_orders(100)) == golden.EXCEPTIONAL_ORDERS_100
         assert rho_e(100) == 18
@@ -357,16 +371,25 @@ def _per_order(lo, hi):
     return [classify(m) for m in range(lo, hi + 1, 2)]
 
 
+def _assert_same_records(got, want):
+    """A Verdict is a named tuple, so == alone would pass plain tuples or a
+    witness of another class: compare reprs and the exact types too."""
+    assert got == want
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+    assert all(type(v) is Verdict for v in got)
+    assert all(type(v.witness) is CandidateWitness for v in got)
+
+
 class TestScanBatches:
     """scan_range decides most orders in numpy batches; each Verdict must
     equal the one classify gives, field for field and bit for bit."""
 
     def test_every_odd_order_through_200001(self):
-        assert scan_range(3, 200001) == _per_order(3, 200001)
+        _assert_same_records(scan_range(3, 200001), _per_order(3, 200001))
 
     def test_block_across_the_extended_threshold(self):
         lo, hi = AUTO_EXTENDED_THRESHOLD - 801, AUTO_EXTENDED_THRESHOLD + 801
-        assert scan_range(lo, hi) == _per_order(lo, hi)
+        _assert_same_records(scan_range(lo, hi), _per_order(lo, hi))
 
     def test_range_longer_than_one_chunk(self, monkeypatch):
         lo = 10 ** 9 + 1
@@ -381,12 +404,12 @@ class TestScanBatches:
         monkeypatch.setattr(classify_module, "_scan_chunk", recording)
         got = scan_range(lo, hi)
         assert sizes == [_SCAN_CHUNK, 301]
-        assert got == _per_order(lo, hi)
+        _assert_same_records(got, _per_order(lo, hi))
 
     def test_wide_escalation_window_sends_every_order_to_classify(self, monkeypatch):
         monkeypatch.setattr(precision, "ESCALATION_MARGIN", 1e6)
         for lo, hi in ((3, 301), (10 ** 6 + 1, 10 ** 6 + 201)):
-            assert scan_range(lo, hi) == _per_order(lo, hi)
+            _assert_same_records(scan_range(lo, hi), _per_order(lo, hi))
 
     def test_only_candidates_reach_classify(self, monkeypatch):
         lo, hi = 10 ** 6 + 1, 10 ** 6 + 40001
@@ -399,5 +422,33 @@ class TestScanBatches:
             return classify(m, **kw)
 
         monkeypatch.setattr(classify_module, "classify", counting)
-        scan_range(lo, hi)
+        got = scan_range(lo, hi)
         assert seen == members
+        _assert_same_records(got, _per_order(lo, hi))
+
+
+class TestVerdictRecord:
+    """Verdict and CandidateWitness are immutable named tuples: fixed
+    fields, hashable, picklable, built alike by the batch path and by
+    classify."""
+
+    def test_fields_cannot_be_set(self):
+        v = classify(35)
+        with pytest.raises(AttributeError):
+            v.hat_l = 13
+        with pytest.raises(AttributeError):
+            v.witness.member = False
+
+    def test_batched_hash_equals_per_order_hash(self):
+        lo, hi = 10 ** 6 + 1, 10 ** 6 + 201
+        got = scan_range(lo, hi)
+        assert any(v.kind == "outside_J" for v in got)
+        for i, m in enumerate(range(lo, hi + 1, 2)):
+            assert hash(got[i]) == hash(classify(m))
+
+    def test_pickle_round_trip(self):
+        ## 35 is kind II; 10**6 + 1 is outside J, so its Verdict is batched
+        for v in (classify(35), scan_range(10 ** 6 + 1, 10 ** 6 + 1)[0]):
+            back = pickle.loads(pickle.dumps(v))
+            assert back == v and repr(back) == repr(v)
+            assert type(back) is Verdict and type(back.witness) is CandidateWitness

@@ -6,6 +6,7 @@ library test modules.
 """
 
 import csv
+import hashlib
 import io
 import json
 
@@ -51,6 +52,18 @@ class TestClassify:
         assert got == classify(35).to_json_dict()
         assert got["inJ"]["member"] is True
         assert got["hatl"] == 11
+
+    def test_json_bytes_are_pinned(self, capsys):
+        ## a Verdict is a tuple, so one handed to json.dumps directly
+        ## would come out as an array instead of raising
+        code, out, _ = run(capsys, "--json", "classify", "35")
+        assert code == 0
+        assert out == (
+            '{"m":35,"l0":9,"inJ":{"member":true,"source":"quadratic","c":-1,'
+            '"k":4},"kind":"II","p":5,"q":7,"verdict":"exceptional",'
+            '"epsilon":2,"hatl":11,"mu_hat":9.310349041405154,'
+            '"rb":9.591663046625438,"margin":0.2813140052202847,'
+            '"near_threshold":false}\n')
 
     def test_invalid_order(self, capsys):
         code, _, err = run(capsys, "classify", "8")
@@ -110,6 +123,21 @@ class TestScan:
         exceptional = [v.m for v in verdicts if v.verdict == "exceptional"]
         assert out == json.dumps({"rows": rows, "exceptional": exceptional},
                                  separators=(",", ":")) + "\n"
+
+    def test_json_bytes_are_pinned(self, capsys):
+        ## batched rows (31 is outside J) and classify rows (33, 35, 37)
+        code, out, _ = run(capsys, "--json", "scan", "31", "61")
+        assert code == 0
+        assert out.startswith('{"rows":[{"m":31,"l0":9,"in_j":false,"c":null,')
+        assert out.endswith('"exceptional":[35,37,41,47,49,53,55]}\n')
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b88c46098bfe5344abf6c870ca104a36a738b9638c8dce4b344f83f826f202ea")
+
+    def test_no_odd_order_from_3_exits_2(self, capsys):
+        for argv in (("scan", "4", "4"), ("scan", "-5", "-3"), ("scan", "5", "4")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "empty scan range" in err, argv
+            assert out == ""
 
 
 class TestSpectrum:
