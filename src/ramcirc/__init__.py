@@ -8,14 +8,11 @@ to arbitrary odd abelian groups.
 """
 
 from .abelian import (
-    AbelianCayleySet,
     AbelianGroup,
     AbelianVerdict,
-    abelian_eigenvalue,
     abelian_hat_l,
     abelian_is_ramanujan,
     abelian_oracle,
-    abelian_spectrum,
     pp_excess,
 )
 from .bounds import (

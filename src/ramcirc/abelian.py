@@ -14,7 +14,8 @@ checks this on a group of any order with ramcirc.oracle.class_clean,
 which reads each class maximum off the sorted rows of the pair table.
 
 Cayley sets, spectra and the Ramanujan predicate are ramcirc.spectra's,
-whose CayleySet takes an AbelianGroup; the abelian_* names alias them.
+whose CayleySet takes an AbelianGroup; abelian_is_ramanujan is
+is_ramanujan's decision as a bool.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .classify import Verdict, classify
 from .errors import DEFAULT_BUDGET, InternalInvariantError, ValidationError
 from .numtheory import is_prime
 from .oracle import class_clean, climb
-from .spectra import CayleySet, eigenvalue, is_ramanujan, spectrum
+from .spectra import CayleySet, is_ramanujan
 
 KIND_CYCLIC = "cyclic"
 KIND_PP = "prime_square_group"
@@ -100,15 +101,6 @@ class AbelianGroup:
                         nxt.append(e)
             frontier = nxt
         return len(seen) == self.order
-
-
-AbelianCayleySet = CayleySet
-abelian_eigenvalue = eigenvalue
-
-
-def abelian_spectrum(cayley: CayleySet) -> list[float]:
-    """All |G| eigenvalues, ordered by the character tuples."""
-    return list(spectrum(cayley).values)
 
 
 def abelian_is_ramanujan(cayley: CayleySet) -> bool:
@@ -213,8 +205,8 @@ def abelian_oracle(group: AbelianGroup, l_max: int | None = None,
     starts at l0 + 2 and stops at the first class containing a valid
     (connected) violator; a class left empty by the connectivity
     requirement passes vacuously.  A pair table of more than budget
-    entries, or a fallback scan of more than budget sets, raises
-    BudgetExceededError.
+    entries, or a class of more than budget sets where class_clean falls
+    back to oracle.enumerate_class, raises BudgetExceededError.
     """
     return climb(group.order, group.order - 2 if l_max is None else l_max,
                  lambda l: class_clean(group, l, budget))

@@ -17,27 +17,28 @@ at least |G|/3 pairs; below r = |G|/3 every set of the class generates
 G and the row maximum is the class maximum.  The budget is charged for
 the h^2 table entries, built in blocks of rows.
 
-scan_class, the enumeration engine, is the fallback for the classes
-where generation can bind and no violating row's extreme set generates
-(none of those that hat_l_exhaustive climbs for odd m <= 3001, or
-abelian_oracle for the odd groups of order at most 1001), and the
-reference the tests hold the rows against.  It combines the removed
-pairs in lexicographic order, in numpy chunks with shared prefixes: a
-set's character sums are its prefix's sums plus one table row.  Class
-sizes grow as C(h, r), so it is gated by a budget in sets.
+enumerate_class is the fallback for the classes where generation can
+bind and no violating row's extreme set generates (none of those that
+hat_l_exhaustive climbs for odd m <= 3001, or abelian_oracle for the odd
+groups of order at most 1001).  It combines the removed pairs in
+lexicographic order and keeps each set that spectra.CayleySet accepts,
+and the fallback decides each by spectra.is_ramanujan or
+spectra.spectrum: the package has one generation rule and one Ramanujan
+decision.  Class sizes grow as C(h, r), so it is gated by a budget in
+sets.
 
 Everything here is deliberately independent of the closed-form route:
 no window formulas, no candidate-set reasoning, no factorisation, just
 the definition of the spectrum.  The one shortcut is provable on its
 own: covalencies l <= l0 satisfy (l + 2)^2 <= 4m, hence
 mu <= l <= 2*sqrt(m - l - 1), so those classes are Ramanujan without a
-table.  A row extreme or a scanned row within
-precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1) is decided from its
-exact phases by precision.decide.
+table.  A row extreme within precision.ESCALATION_MARGIN of
+2*sqrt(|G| - l - 1) is decided from its exact phases by precision.decide.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb, gcd
@@ -62,16 +63,14 @@ from .spectra import (
     _cos2,
     check_covalency,
     check_modulus,
+    group_orders,
     is_ramanujan,
     pair_characters,
     phase_table,
     ramanujan_bound,
+    spectrum,
     window_complement,
 )
-
-## chunk size for the vectorised scans, in doubles of one level's sums
-## (combinations x characters); a scan holds r such levels at once
-_CHUNK_FLOATS = 1 << 17
 
 
 def _row_extremes(orders: tuple[int, ...], r: int, budget: int):
@@ -119,91 +118,15 @@ def _extreme_reps(orders: tuple[int, ...], k: np.ndarray, r: int,
 
 
 def class_size(m: int, l: int) -> int:
-    """Raw number of negation-closed size-l complements containing 0.
+    """Raw number of negation-closed size-l complements containing the
+    identity, in a group of order m.
 
     This is the combinatorial count C((m-1)/2, (l-1)/2); complements
-    whose kept set fails to generate are included here (the budget is
-    charged for them) but skipped during enumeration.
+    whose kept set fails to generate are included here (enumerate_class
+    charges the budget for them) but not enumerated.
     """
     check_covalency(m, l)
     return comb((m - 1) // 2, (l - 1) // 2)
-
-
-def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
-    """Yield (idx, absmax) chunks over the connected covalency-l class.
-
-    G has invariant factors orders and l is an odd covalency in
-    [1, |G| - 2]; callers validate both.  Each negation pair is
-    represented by its first element in product order (for Z_m, i + 1),
-    and the same representatives R = spectra.pair_characters(orders)
-    index the pair characters in spectra.phase_table: phases[i, j] =
-    <R[j], R[i]> in units of 1/exponent.  idx[k] holds one complement's
-    removed pairs as indices into R, and absmax[k] its largest
-    |lambda_chi|.  Every proper subgroup lies in a character kernel, so
-    a complement that removes every pair outside some kernel leaves a
-    kept set that does not generate G; such rows are dropped.
-    """
-    h, r = (math.prod(orders) - 1) // 2, (l - 1) // 2
-    size = comb(h, r)
-    if size > budget:
-        raise BudgetExceededError(size, budget)
-    R = pair_characters(orders)
-    phases = phase_table(orders, R, R)
-    P = 2.0 * np.cos((2.0 * math.pi / orders[-1]) * phases)
-    outside = phases != 0
-    ## r removed pairs can cover only kernels with at most r pairs outside
-    cover = outside[:, outside.sum(axis=0) <= r]
-    cover_size = cover.sum(axis=0)
-    ## phases is symmetric, so column i of P is pair i's character row
-    for idx, S in _combo_sums(P, r, max(1, _CHUNK_FLOATS // h)):
-        ## fl(x + 1) is monotone in x, so this is max |S + 1| bit for bit
-        absmax = np.maximum(S.max(axis=0) + 1.0, -(S.min(axis=0) + 1.0))
-        if cover.shape[1]:
-            keep = ~(cover[idx].sum(axis=1) == cover_size).any(axis=1)
-            if not keep.any():
-                continue
-            idx, absmax = idx[keep], absmax[keep]
-        yield idx, absmax
-
-
-def _combo_sums(P: np.ndarray, r: int, rows: int):
-    """Yield (idx, S) chunks over every r-combination of the columns of P.
-
-    The combinations idx[k] = (i0, ..., i_{r-1}) come in lexicographic
-    order, and S[:, k] = ((P[:, i0] + P[:, i1]) + ...) + P[:, i_{r-1}].
-    They grow one index at a time with shared prefixes (Knuth, TAOCP
-    7.2.1.3): a j-combination ending at c has the children c + 1 ..
-    h - r + j, each costing its parent's sums plus one column of P.
-    Each level holds at most max(rows, h) combinations at once; sums
-    are kept one combination per column, so that reducing over the
-    characters runs along contiguous rows.
-    """
-    h = P.shape[1]
-    if r == 0:
-        yield np.empty((1, 0), dtype=np.intp), np.zeros((len(P), 1))
-        return
-
-    def grow(idx, S):
-        j = len(idx)
-        if j == r:
-            yield idx.T, S
-            return
-        last = idx[-1]
-        kids = h - r + j - last
-        ends = np.cumsum(kids)
-        shift = last + 1 - (ends - kids)
-        lo = 0
-        while lo < len(last):
-            start = int(ends[lo] - kids[lo])
-            hi = max(lo + 1, int(np.searchsorted(ends, start + rows, side="right")))
-            pid = np.repeat(np.arange(lo, hi), kids[lo:hi])
-            child = np.arange(start, int(ends[hi - 1])) + shift[pid]
-            yield from grow(np.concatenate((idx.take(pid, axis=1), child[None])),
-                            S.take(pid, axis=1) + P.take(child, axis=1))
-            lo = hi
-
-    top = np.arange(h - r + 1)
-    yield from grow(top[None, :], P[:, : h - r + 1])
 
 
 def _generates(group, reps: np.ndarray) -> bool:
@@ -224,10 +147,12 @@ def class_clean(group, l: int, budget: int) -> bool:
     whose extended value is the same r-sum from exact phases.  A
     violating row ends the class when its extreme set generates G, as
     every set does for 3r < |G|; when no violating row's set generates,
-    the class is scanned.  An empty class counts as clean.
+    is_ramanujan decides each set of enumerate_class.  An empty class
+    counts as clean.
     """
-    orders = (group,) if isinstance(group, int) else group.orders
+    orders = group_orders(group)
     n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
+    check_covalency(n, l)
     rb = 2.0 * math.sqrt(n - l - 1)
     unsettled = False
     for K, absmax, from_top in _row_extremes(orders, r, budget):
@@ -240,23 +165,8 @@ def class_clean(group, l: int, budget: int) -> bool:
                     group, _extreme_reps(orders, k, r, from_top[i])):
                 return False
             unsettled = True
-    return _scan_clean(group, l, budget) if unsettled else True
-
-
-def _scan_clean(group, l: int, budget: int) -> bool:
-    """class_clean by scan_class: rows within precision.ESCALATION_MARGIN
-    of the bound are re-decided by is_ramanujan."""
-    orders = (group,) if isinstance(group, int) else group.orders
-    R = pair_characters(orders)
-    rb = 2.0 * math.sqrt(math.prod(orders) - l - 1)
-    tol = precision.ESCALATION_MARGIN
-    for idx, absmax in scan_class(orders, l, budget):
-        if np.any(absmax > rb + tol):
-            return False
-        for i in np.nonzero(absmax > rb - tol)[0]:
-            if not is_ramanujan(_cayley(group, R[idx[i]])).is_ramanujan:
-                return False
-    return True
+    return not unsettled or all(is_ramanujan(s).is_ramanujan
+                                for s in enumerate_class(group, l, budget))
 
 
 def climb(m: int, l_max: int, clean) -> int:
@@ -278,13 +188,26 @@ def _cayley(group, reps: np.ndarray) -> CayleySet:
         group, reps[:, 0].tolist() if isinstance(group, int) else reps)
 
 
-def enumerate_class(m: int, l: int, budget: int = DEFAULT_BUDGET):
-    """Yield every valid complement in the class, smallest pairs first."""
-    check_covalency(m, l)
-    R = pair_characters((m,))
-    for idx, _ in scan_class((m,), l, budget):
-        for row in R[idx]:
-            yield _cayley(m, row)
+def enumerate_class(group, l: int, budget: int = DEFAULT_BUDGET):
+    """Yield every connected complement of covalency l, smallest pairs first.
+
+    group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
+    The r = (l - 1)/2 removed pairs are taken from
+    spectra.pair_characters in lexicographic order, and each set whose
+    kept elements the CayleySet constructor finds generating is yielded.
+    The budget is charged for all C(h, r) sets of the class.
+    """
+    orders = group_orders(group)
+    size = class_size(math.prod(orders), l)
+    if size > budget:
+        raise BudgetExceededError(size, budget)
+    R = pair_characters(orders)
+    for idx in itertools.combinations(range(len(R)), (l - 1) // 2):
+        try:
+            s = _cayley(group, R[list(idx)])
+        except ValidationError:
+            continue
+        yield s
 
 
 @dataclass(frozen=True)
@@ -304,7 +227,8 @@ def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     The witness is the r pairs of the first row that attains the
     maximum, the largest or the smallest entries as the maximum takes
     them, ties in index order.  Where that set does not generate Z_m,
-    which needs 3r >= m, the class is scanned instead.
+    which needs 3r >= m, the witness is instead the first set of
+    enumerate_class with the largest spectrum(s).mu_max.
     """
     check_covalency(m, l)
     r, best = (l - 1) // 2, -math.inf
@@ -315,25 +239,16 @@ def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     try:
         witness = _cayley(m, _extreme_reps((m,), k, r, side))
     except ValidationError:
-        return _scan_max(m, l, budget)
+        witness = max(enumerate_class(m, l, budget), default=None,
+                      key=lambda s: spectrum(s).mu_max)
+        if witness is None:
+            raise InternalInvariantError(f"class m={m}, l={l} has no valid sets")
+        best = spectrum(witness).mu_max
     return ClassMax(m, l, best, ramanujan_bound(m, l), witness)
 
 
-def _scan_max(m: int, l: int, budget: int) -> ClassMax:
-    """class_max by scan_class, over the connected sets alone."""
-    best, best_row, R = -math.inf, None, pair_characters((m,))
-    for idx, absmax in scan_class((m,), l, budget):
-        i = int(np.argmax(absmax))
-        if absmax[i] > best:
-            best, best_row = float(absmax[i]), R[idx[i]]
-    if best_row is None:
-        raise InternalInvariantError(f"class m={m}, l={l} has no valid sets")
-    return ClassMax(m, l, best, ramanujan_bound(m, l), _cayley(m, best_row))
-
-
 def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """class_clean on Z_m, after validating the covalency."""
-    check_covalency(m, l)
+    """class_clean on Z_m, with a default budget."""
     return class_clean(m, l, budget)
 
 

@@ -50,6 +50,12 @@ def check_covalency(m: int, l: int) -> None:
         raise ValidationError(f"covalency must be odd in [1, m-2], got {l}")
 
 
+def group_orders(group) -> tuple[int, ...]:
+    """Invariant factors of an AbelianGroup, or (m,) for Z_m's modulus m;
+    anything else comes back as (group,) for check_modulus to refuse."""
+    return getattr(group, "orders", (group,))
+
+
 def elements(orders: tuple[int, ...]) -> np.ndarray:
     """Every element of the group as a row, in product order (on Z_m, row k is k)."""
     return np.indices(orders).reshape(len(orders), -1).T
@@ -142,12 +148,12 @@ class CayleySet:
     @property
     def orders(self) -> tuple[int, ...]:
         """Invariant factors of the group; Z_m is (m,)."""
-        return (self.group,) if isinstance(self.group, int) else self.group.orders
+        return group_orders(self.group)
 
     @property
     def m(self) -> int:
         """The group order |G|."""
-        return self.group if isinstance(self.group, int) else self.group.order
+        return math.prod(self.orders)
 
     @property
     def covalency(self) -> int:

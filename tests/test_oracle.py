@@ -6,21 +6,28 @@ import math
 import numpy as np
 import pytest
 
+import scan_reference
 from ramcirc import oracle, precision
 from ramcirc.abelian import AbelianGroup, abelian_oracle
 from ramcirc.bounds import trivial_bound
 from ramcirc.classify import classify
-from ramcirc.errors import BudgetExceededError, ValidationError
+from ramcirc.errors import BudgetExceededError, InternalInvariantError, ValidationError
 from ramcirc.oracle import (
     class_all_ramanujan,
     class_max,
     class_size,
     enumerate_class,
     hat_l_exhaustive,
-    scan_class,
     semiprime_crosscheck,
 )
-from ramcirc.spectra import CayleySet, pair_characters, spectrum, window_complement
+from ramcirc.spectra import (
+    CayleySet,
+    group_orders,
+    pair_characters,
+    spectrum,
+    window_complement,
+)
+from scan_reference import _scan_clean, _scan_max, scan_class
 
 
 class TestEnumeration:
@@ -104,7 +111,7 @@ class TestScanEngine:
         for orders, l in cases:
             _assert_same_scan(orders, l)
         ## a few combinations per chunk put a chunk seam at every level
-        monkeypatch.setattr(oracle, "_CHUNK_FLOATS", 64)
+        monkeypatch.setattr(scan_reference, "_CHUNK_FLOATS", 64)
         for orders in self.GROUPS:
             for l in range(1, math.prod(orders) - 1, 2):
                 _assert_same_scan(orders, l)
@@ -114,7 +121,7 @@ class TestScanEngine:
             h = (math.prod(orders) - 1) // 2
             rows = [len(absmax) for _, absmax in scan_class(orders, l)]
             assert sum(rows) == math.comb(h, (l - 1) // 2)
-            assert max(rows) <= oracle._CHUNK_FLOATS // h, orders
+            assert max(rows) <= scan_reference._CHUNK_FLOATS // h, orders
 
 
 def _reference_scan(orders, l):
@@ -182,21 +189,50 @@ class TestRowRoute:
     GROUPS = list(range(3, 46, 2)) + [
         AbelianGroup(o) for o in ((3, 3), (5, 5), (3, 9), (3, 3, 3), (3, 15))]
 
-    def test_rows_decide_every_class_as_the_scan(self):
+    @pytest.fixture(scope="class")
+    def decided(self):
+        """class_clean on every class of at most 2e5 sets, and the classes
+        it handed to enumerate_class, in call order."""
         cases = [(g, l) for g in self.GROUPS for l in range(1, _order(g) - 1, 2)
                  if math.comb((_order(g) - 1) // 2, (l - 1) // 2) <= 2 * 10**5]
+        enumerated = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "enumerate_class", _recording(enumerated))
+            got = [oracle.class_clean(g, l, 10**6) for g, l in cases]
+        return cases, got, enumerated
+
+    def test_rows_decide_every_class_as_the_scan(self, decided):
+        cases, got, _ = decided
         assert len(cases) == 297
-        got = [oracle.class_clean(g, l, 10**6) for g, l in cases]
-        assert got == [oracle._scan_clean(g, l, 10**6) for g, l in cases]
+        assert got == [_scan_clean(g, l, 10**6) for g, l in cases]
+
+    def test_enumeration_decides_four_clean_classes(self, decided):
+        ## only where generation binds and no violating row's extreme set
+        ## generates does class_clean enumerate; each such class is clean
+        cases, got, enumerated = decided
+        assert enumerated == [((5, 5), 21), ((3, 3, 3), 19), ((3, 3, 3), 21),
+                              ((3, 3, 3), 23)]
+        clean = {(group_orders(g), l): c for (g, l), c in zip(cases, got)}
+        assert [clean[c] for c in enumerated] == [True] * 4
+
+    def test_class_clean_rejects_invalid_input(self):
+        cases = [(AbelianGroup((3, 3)), l) for l in (0, -1, 8, 9)]
+        cases += [(AbelianGroup((5, 5)), 24), (AbelianGroup((5, 5)), 25),
+                  (15, 14), (15, 15), (15.0, 7), ("15", 7)]
+        for g, l in cases:
+            with pytest.raises(ValidationError):
+                oracle.class_clean(g, l, 10**6)
+            with pytest.raises(ValidationError):
+                next(enumerate_class(g, l))
 
     def test_no_scan_to_2001(self, monkeypatch):
         ## generation cannot bind in the l0 + 2 and l0 + 4 classes from
         ## m = 15 on, so the rows decide them alone; below 15 every class
         ## climbed passes on the rows, an upper bound over the class
-        def scan_class(*args):
-            raise AssertionError("scanned a class")
+        def enumerate_class(*args):
+            raise AssertionError("enumerated a class")
 
-        monkeypatch.setattr(oracle, "scan_class", scan_class)
+        monkeypatch.setattr(oracle, "enumerate_class", enumerate_class)
         for m in range(3, 2002, 2):
             assert hat_l_exhaustive(m) == classify(m).hat_l, m
 
@@ -215,7 +251,7 @@ class TestRowsMatchTheScan:
         for m in range(15, 66, 2):
             l0 = trivial_bound(m)
             for l in (l0 + 2, l0 + 4):
-                got, want = class_max(m, l), oracle._scan_max(m, l, 10**8)
+                got, want = class_max(m, l), _scan_max(m, l, 10**8)
                 assert got.mu == pytest.approx(want.mu, abs=1e-12), (m, l)
                 ## a CayleySet's kept set generates; the witness is the scan's
                 ## up to a unit multiplier, which permutes the characters
@@ -223,6 +259,30 @@ class TestRowsMatchTheScan:
                 assert spectrum(got.witness).mu_max == pytest.approx(got.mu, abs=1e-12)
                 assert oracle._unit_orbit_match(got.witness, want.witness), (m, l)
                 assert oracle.class_clean(m, l, 10**8) == (want.mu <= want.rb)
+
+    def test_class_max_where_generation_can_bind(self, monkeypatch):
+        ## cyclic classes with 3r >= m of at most 3000 sets; in 25 of them
+        ## the argmax row's extreme set does not generate, and class_max
+        ## takes the first maximum of spectrum over enumerate_class
+        enumerated = []
+        monkeypatch.setattr(oracle, "enumerate_class", _recording(enumerated))
+        cases = [(m, l) for m in range(3, 46, 2) for l in range(1, m - 1, 2)
+                 if 3 * ((l - 1) // 2) >= m and math.comb((m - 1) // 2, (l - 1) // 2) <= 3000]
+        assert len(cases) == 53
+        for m, l in cases:
+            got, want = class_max(m, l), _scan_max(m, l, 10**8)
+            assert got.mu == pytest.approx(want.mu, abs=1e-12), (m, l)
+            assert got.witness.covalency == l
+            assert spectrum(got.witness).mu_max == got.mu, (m, l)
+        assert len(enumerated) == 25
+        assert {(m, l) for (m,), l in enumerated} <= set(cases)
+
+    def test_class_max_raises_on_an_empty_class(self, monkeypatch):
+        ## Z_9 at covalency 7 has a non-generating argmax set; with nothing
+        ## to enumerate the class has no maximum
+        monkeypatch.setattr(oracle, "enumerate_class", lambda *args: iter(()))
+        with pytest.raises(InternalInvariantError):
+            class_max(9, 7)
 
     def test_every_class_climbed_on_the_groups_to_49(self):
         groups = [(m,) for m in range(3, 50, 2)] + [
@@ -234,7 +294,7 @@ class TestRowsMatchTheScan:
             hat = abelian_oracle(g)
             for l in range(trivial_bound(n) + 2, min(hat + 2, n - 2) + 1, 2):
                 clean = oracle.class_clean(g, l, 10**8)
-                assert clean == oracle._scan_clean(g, l, 10**8), (orders, l)
+                assert clean == _scan_clean(g, l, 10**8), (orders, l)
                 assert clean == (l <= hat), (orders, l)
                 if 3 * ((l - 1) // 2) >= n:
                     continue
@@ -246,7 +306,18 @@ class TestRowsMatchTheScan:
 
 
 def _order(group):
-    return group if isinstance(group, int) else group.order
+    return math.prod(group_orders(group))
+
+
+def _recording(calls):
+    """oracle.enumerate_class, noting (invariant factors, l) of each call."""
+    real = oracle.enumerate_class
+
+    def enumerate_class(group, l, budget):
+        calls.append((group_orders(group), l))
+        return real(group, l, budget)
+
+    return enumerate_class
 
 
 class TestClassMax:
