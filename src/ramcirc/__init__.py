@@ -59,6 +59,7 @@ from .numtheory import (
     jacobi,
     landau_normalizer,
     least_prime_factor,
+    least_prime_split,
     poly_eval,
     root_count_mod_p,
     sieve_primes,

@@ -15,8 +15,8 @@ any covalency, with the sign of a margin).  The excess is negative exactly
 on a short window around k^2 + 5k, which confines every exceptional
 order to the candidate set: the odd numbers 15..29 together with the
 values k^2 + 5k + c for c in {-5,-3,-1,1,3,5} (k >= 4, and k >= 19 when
-c = -5).  Membership is decided by an exact integer square test on
-4m + 25 - 4c.
+c = -5).  Membership is decided by one integer square root: 4m + 25 - 4c
+must be the largest odd square up to 4m + 45.
 """
 
 from __future__ import annotations
@@ -102,26 +102,24 @@ class CandidateWitness(NamedTuple):
 
 
 def in_candidate_set(m: int) -> CandidateWitness:
-    """Exact membership test for the candidate set of exceptional orders."""
+    """Exact membership test for the candidate set of exceptional orders.
+
+    4m + c' runs over [4m + 5, 4m + 45], and odd squares above 441 lie
+    more than 40 apart, so only the largest odd square s^2 <= 4m + 45 can
+    give a k >= 4; for odd m every such s^2 >= 4m + 5 is 4m + c' for one
+    of the six c'.
+    """
     check_modulus(m)
     if m in SMALL_WINDOW:
         return CandidateWitness(m, True, "small_window")
-    found = []
-    for c in C_OFFSETS:
-        s2 = 4 * m + CPRIMES[c]
-        s = isqrt(s2)
-        if s * s != s2:
-            continue
-        k = (s - 5) // 2
+    s = isqrt(4 * m + CPRIMES[-5])
+    s -= 1 - s % 2
+    cp = s * s - 4 * m
+    k = (s - 5) // 2
+    if cp >= CPRIMES[5]:
+        c = (25 - cp) // 4
         if k >= K_MIN[c]:
-            found.append((c, k))
-    if len(found) > 1:
-        ## two quadratic representations would need odd squares closer
-        ## than the discriminant spread allows
-        raise InternalInvariantError(f"multiple quadratic witnesses for m={m}: {found}")
-    if found:
-        c, k = found[0]
-        return CandidateWitness(m, True, "quadratic", c, k)
+            return CandidateWitness(m, True, "quadratic", c, k)
     return CandidateWitness(m, False)
 
 

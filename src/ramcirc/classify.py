@@ -19,8 +19,9 @@ ordinary because the window excess is positive.
 So a member of the candidate set needs no full factorisation: its least
 prime p and whether the cofactor t = m/p is prime fix the kind (m = p is
 kind I, t = p makes m a prime square, and any other prime t makes m a
-distinct semiprime), and numtheory.least_prime_factor factorises only
-the composites without a prime factor below 1000.
+distinct semiprime), and numtheory.least_prime_split factorises only
+the composites without a prime factor below 1000, proving each prime
+once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import mpmath as mp
@@ -49,6 +51,7 @@ from .numtheory import (
     is_prime,
     isqrt_array,
     least_prime_factor,
+    least_prime_split,
 )
 from .precision import (
     AUTO_EXTENDED_THRESHOLD,
@@ -203,8 +206,7 @@ def classify(m: int, factors=None) -> Verdict:
         if m >= 1 << 64:
             raise ValidationError(
                 "orders at or above 2**64 need an explicit factorisation")
-        p = least_prime_factor(m)
-        t_prime = is_prime(m // p)
+        p, t_prime = least_prime_split(m)
     else:
         fac = _normalize_factors(m, factors)
         p = fac.factors[0][0]
@@ -469,32 +471,41 @@ def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
 
     Orders outside the candidate set whose window margin is at most
     -ESCALATION_MARGIN get their Verdict from numpy arrays that repeat
-    the scalar arithmetic of trivial_bound, in_candidate_set,
-    window_eigenvalue and ramanujan_bound operation for operation (the
-    reduction of l mod 2m is left out: l < m); every other order goes
-    through classify, which also raises on a non-negative margin outside
-    the candidate set.
+    the scalar arithmetic of trivial_bound, in_candidate_set (one root,
+    rounded down to odd), window_eigenvalue and ramanujan_bound
+    operation for operation (the reduction of l mod 2m is left out:
+    l < m); every other order goes through classify, which also raises
+    on a non-negative margin outside the candidate set.
     """
     m = np.arange(lo, hi + 1, 2, dtype=np.int64)
     l0 = 2 * ((isqrt_array(4 * m) - 3) // 2) + 1
-    member = np.zeros(m.shape, dtype=bool)
-    for c in C_OFFSETS:
-        s2 = 4 * m + CPRIMES[c]
-        s = isqrt_array(s2)
-        member |= (s * s == s2) & ((s - 5) // 2 >= K_MIN[c])
+    s = isqrt_array(4 * m + CPRIMES[-5])
+    s -= 1 - (s & 1)
+    cp = s * s - 4 * m
+    k = (s - 5) // 2
+    ## K_MIN is the same for every offset but c = -5, the largest c'
+    member = (cp >= CPRIMES[5]) & (k >= K_MIN[5]) \
+        & ((cp < CPRIMES[-5]) | (k >= K_MIN[-5]))
     l = l0 + 2
     mu = np.sin(math.pi * l / m) / np.sin(math.pi / m)
     rb = 2.0 * np.sqrt(m - l - 1)
     margin = rb - mu
     fast = ~member & (margin <= -precision.ESCALATION_MARGIN)
-    return [
-        Verdict(mi, l0i, CandidateWitness(mi, False), KIND_OUTSIDE,
-                VERDICT_ORDINARY, 0, l0i, None, None, mui, rbi, di)
-        if ok else classify(mi)
-        for mi, l0i, mui, rbi, di, ok in zip(
-            m.tolist(), l0.tolist(), mu.tolist(), rb.tolist(),
-            margin.tolist(), fast.tolist())
-    ]
+    ## every record is filled by tuple.__new__ from columns, in C, with
+    ## no per-order Python frame; the other orders' records are then
+    ## replaced by classify's
+    new = tuple.__new__
+    none = repeat(None)
+    ms, l0s = m.tolist(), l0.tolist()
+    witnesses = map(new, repeat(CandidateWitness),
+                    zip(ms, repeat(False), none, none, none))
+    verdicts = list(map(new, repeat(Verdict), zip(
+        ms, l0s, witnesses, repeat(KIND_OUTSIDE), repeat(VERDICT_ORDINARY),
+        repeat(0), l0s, none, none, mu.tolist(), rb.tolist(), margin.tolist(),
+        none)))
+    for i in np.flatnonzero(~fast).tolist():
+        verdicts[i] = classify(ms[i])
+    return verdicts
 
 
 def scan_range(lo: int, hi: int) -> list[Verdict]:

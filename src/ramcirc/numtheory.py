@@ -2,12 +2,13 @@
 that generate semiprime candidates, and the counting functions behind the
 census experiments.
 
-Primality is a deterministic Miller-Rabin over the standard twelve-witness
-set, valid for every input below 2**64.  Factorisation and the least
-prime factor share one trial-division table, the primes below 1000, and
-one gcd against their product skips it for an input none of them
-divides; factorisation then splits what is left with Brent's
-cycle-finding variant of Pollard rho.
+Primality is trial division by the primes up to 37, then a
+deterministic Miller-Rabin over Sinclair's seven bases, valid for every
+input below 2**64.  Factorisation, the least prime factor and
+least_prime_split share one trial-division table, the primes below 1000,
+and one gcd against their product skips it for an input none of them
+divides; what is left is split with Brent's cycle-finding variant of
+Pollard rho, proving each prime it meets once.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from .errors import (
     ValidationError,
 )
 
-## deterministic below 2**64; is_prime also trial-divides by them
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+## is_prime trial-divides by these before its Miller-Rabin rounds
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+## Sinclair's bases: reduced mod n, deterministic below 2**64 (checked
+## against Feitsma's list of base-2 strong pseudoprimes)
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 ## the trial-division table: every prime below 1000, and their product
 _SMALL_PRIMES = (2,) + tuple(p for p in range(3, 1000, 2)
@@ -42,7 +46,7 @@ def is_prime(n: int) -> bool:
         raise ValidationError("primality testing is limited to 64-bit inputs")
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -50,7 +54,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -79,7 +86,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m_batch, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m_batch
             r *= 2
@@ -87,10 +94,26 @@ def _brent_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
     raise InternalInvariantError(f"factor search failed for {n}")
+
+
+def _large_primes(n: int) -> list[int]:
+    """The prime factors of n > 1, with multiplicity and unsorted, for n
+    free of primes below 1000: each part is proven prime, or split by
+    Brent rho, exactly once."""
+    out = []
+    stack = [n]
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            out.append(v)
+        else:
+            d = _brent_rho(v)
+            stack += (d, v // d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,16 +170,9 @@ def factorize(n: int) -> Factorization:
             while n % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
-            factors[v] = factors.get(v, 0) + 1
-            continue
-        d = _brent_rho(v)
-        stack.extend((d, v // d))
+    if n > 1:
+        for q in _large_primes(n):
+            factors[q] = factors.get(q, 0) + 1
     total = 1
     for q, e in factors.items():
         total *= q ** e
@@ -170,14 +186,32 @@ def least_prime_factor(n: int) -> int:
     factorised; the others take one gcd, then a scan of the table or
     one primality test.
     """
+    return _least_prime(n)[0]
+
+
+def least_prime_split(n: int) -> tuple[int, bool]:
+    """The least prime factor p of 2 <= n < 2**64, and whether n/p is prime.
+
+    A p below 1000 costs one primality test of the cofactor; otherwise
+    the cofactor's primality is read from the prime factors that proved
+    n prime or split it, so no prime is proven twice.
+    """
+    p, primes = _least_prime(n)
+    if primes is None:
+        return p, is_prime(n // p)
+    return p, len(primes) == 2
+
+
+def _least_prime(n: int) -> tuple[int, list[int] | None]:
+    """The least prime factor of n, with n's prime factors when it has
+    none below 1000 (None otherwise)."""
     if not isinstance(n, int) or n < 2 or n >= 1 << 64:
         raise ValidationError("least prime factors are limited to 2 <= n < 2**64")
     g = gcd(n, _SMALL_PRODUCT)
     if g > 1:
-        return next(p for p in _SMALL_PRIMES if g % p == 0)
-    if is_prime(n):
-        return n
-    return factorize(n).factors[0][0]
+        return next(p for p in _SMALL_PRIMES if g % p == 0), None
+    primes = _large_primes(n)
+    return min(primes), primes
 
 
 def jacobi(a: int, n: int) -> int:
@@ -400,9 +434,8 @@ def is_distinct_semiprime(n: int) -> bool:
     p is a prime other than p."""
     if n < 6:
         return False
-    p = least_prime_factor(n)
-    t = n // p
-    return t != p and is_prime(t)
+    p, t_prime = least_prime_split(n)
+    return t_prime and n != p * p
 
 
 def count_poly(coeffs, x: int, mode: str = "prime") -> int:

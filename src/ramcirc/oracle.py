@@ -55,7 +55,7 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
     InternalInvariantError,
     ValidationError,
 )
-from .numtheory import is_prime, least_prime_factor
+from .numtheory import least_prime_split
 from .precision import mp_cos2pi_frac
 from .spectra import (
     _BLOCK,
@@ -338,9 +338,9 @@ def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET) -> CrosscheckRepo
     against max(mu0, mu1, mu2), and identifies the extremal set as one
     of the predicted families up to a unit multiplier.
     """
-    p = least_prime_factor(m)
+    p, q_prime = least_prime_split(m)
     q = m // p
-    if q == p or not is_prime(q):
+    if q == p or not q_prime:
         raise ValidationError(f"m={m} is not a product of two distinct primes")
     if q > 4 * p - 5:
         raise ValidationError(

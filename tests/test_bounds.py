@@ -1,5 +1,6 @@
 """Trivial bound, window excess signs, and candidate-set membership."""
 
+import random
 from math import isqrt
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from ramcirc.bounds import (
     C_OFFSETS,
     CPRIMES,
+    K_MIN,
     SMALL_WINDOW,
+    CandidateWitness,
     deep_window_max_h,
     in_candidate_set,
     interval_index,
@@ -34,6 +37,20 @@ def candidate_by_brute_force(m: int) -> bool:
             if k >= (19 if c == -5 else 4):
                 return True
     return False
+
+
+def six_root_witness(m: int) -> CandidateWitness:
+    """Reference witness: one square test of 4m + c' for each of the six c'."""
+    if m in SMALL_WINDOW:
+        return CandidateWitness(m, True, "small_window")
+    found = []
+    for c in C_OFFSETS:
+        s2 = 4 * m + CPRIMES[c]
+        s = isqrt(s2)
+        if s * s == s2 and (s - 5) // 2 >= K_MIN[c]:
+            found.append(CandidateWitness(m, True, "quadratic", c, (s - 5) // 2))
+    assert len(found) <= 1, found
+    return found[0] if found else CandidateWitness(m, False)
 
 
 class TestTrivialBound:
@@ -119,9 +136,35 @@ class TestCandidateSet:
         assert w.source is None and w.c is None and w.k is None
 
     def test_witness_uniqueness_over_range(self):
-        ## a double quadratic representation would raise internally
+        ## every order gets a witness, and never two quadratic ones
         for m in range(3, 100001, 2):
             in_candidate_set(m)
+
+    def test_one_root_matches_six_roots_small(self):
+        for m in range(3, 2 * 10 ** 5, 2):
+            assert in_candidate_set(m) == six_root_witness(m), m
+
+    def test_one_root_matches_six_roots_random(self):
+        rng = random.Random(20)
+        for _ in range(10 ** 5):
+            m = rng.randrange(3, 2 ** 64, 2)
+            assert in_candidate_set(m) == six_root_witness(m), m
+
+    def test_one_root_matches_six_roots_on_members(self):
+        ## J members k^2 + 5k + c up to k = 2^32 - 3, the last k below
+        ## 2^64 for every c, and their odd neighbours
+        rng = random.Random(21)
+        ks = list(range(1, 2000)) + list(range(2 ** 32 - 2002, 2 ** 32 - 2)) \
+            + [rng.randrange(2000, 2 ** 32 - 2002) for _ in range(2000)]
+        for k in ks:
+            for c in C_OFFSETS:
+                m = k * k + 5 * k + c
+                for n in (m - 2, m, m + 2):
+                    if n >= 3:
+                        assert in_candidate_set(n) == six_root_witness(n), n
+                if k >= K_MIN[c]:
+                    w = in_candidate_set(m)
+                    assert (w.member, w.source, w.c, w.k) == (True, "quadratic", c, k)
 
     def test_every_band_window_member_is_candidate(self):
         ## for k >= 19 the negative-excess window is exactly the candidate

@@ -198,6 +198,30 @@ class TestLeastPrimeRoute:
             classify(m)
             assert (not calls) == no_rho, m
 
+    def test_each_prime_proven_once(self, monkeypatch):
+        ## least_prime_split reads the cofactor's primality from the primes
+        ## that split m, so no argument is proven prime twice per order
+        numtheory = importlib.import_module("ramcirc.numtheory")
+        prove = numtheory.is_prime
+        proven = []
+
+        def counting(n):
+            result = prove(n)
+            if result:
+                proven.append(n)
+            return result
+
+        monkeypatch.setattr(numtheory, "is_prime", counting)
+        monkeypatch.setattr(importlib.import_module("ramcirc.classify"),
+                            "is_prime", counting)
+        total = 0
+        for m in _j_sample(13, 500):
+            proven.clear()
+            classify(m)
+            assert len(proven) == len(set(proven)), (m, proven)
+            total += len(proven)
+        assert total > 100
+
 
 class TestSemiprimeCandidates:
     def test_values_at_35(self):

@@ -22,6 +22,7 @@ from ramcirc.numtheory import (
     jacobi,
     landau_normalizer,
     least_prime_factor,
+    least_prime_split,
     poly_eval,
     root_count_mod_p,
     sieve_primes,
@@ -41,6 +42,36 @@ def trial_division_prime(n: int) -> bool:
     return True
 
 
+def twelve_base_prime(n: int) -> bool:
+    """Reference primality for 0 <= n < 2**64: Miller-Rabin over the first
+    twelve primes, which is deterministic below 3.3 * 10**24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+## Sinclair's seven bases, as numtheory uses them
+SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
 def legendre_euler(a: int, p: int) -> int:
     e = pow(a % p, (p - 1) // 2, p)
     return 0 if e == 0 else (1 if e == 1 else -1)
@@ -50,11 +81,37 @@ class TestPrimality:
     def test_small_range_matches_trial_division(self):
         for n in range(50000):
             assert is_prime(n) == trial_division_prime(n)
+        primes = set(sieve_primes(10 ** 6).tolist())
+        for n in range(10 ** 6):
+            assert is_prime(n) == (n in primes), n
 
     def test_strong_pseudoprimes_rejected(self):
-        ## composite survivors of small witness sets
-        for n in (3215031751, 25326001, 3825123056546413051):
+        ## composite survivors of small witness sets: the least strong
+        ## pseudoprime to all of the first k prime bases, for k = 1 to 11
+        ## (k = 7, 8 share one, and k = 9 to 11 another)
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051):
+            assert not twelve_base_prime(n)
             assert not is_prime(n)
+
+    @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
+    def test_matches_twelve_bases(self, n):
+        assert is_prime(n) == twelve_base_prime(n)
+
+    def test_divisors_of_the_bases(self):
+        ## a base that n divides reduces to 0 and is skipped, as for
+        ## 14089 = 73 * 193, which divides 28178
+        assert 28178 % 14089 == 0 and not is_prime(14089)
+        divisors = {d for a in SINCLAIR_BASES
+                    for e in range(1, math.isqrt(a) + 1) if a % e == 0
+                    for d in (e, a // e)}
+        assert 14089 in divisors
+        for n in divisors:
+            assert is_prime(n) == twelve_base_prime(n), n
+
+    def test_largest_odd_below_2_64(self):
+        for n in range(2 ** 64 - 1, 2 ** 64 - 4001, -2):
+            assert is_prime(n) == twelve_base_prime(n), n
 
     def test_large_primes_accepted(self):
         assert is_prime(2 ** 61 - 1)
@@ -95,7 +152,9 @@ def korselt(n: int) -> bool:
 class TestLeastPrimeFactor:
     @given(st.integers(min_value=2, max_value=2 ** 64 - 1))
     def test_matches_factorize(self, n):
-        assert least_prime_factor(n) == factorize(n).factors[0][0]
+        p = least_prime_factor(n)
+        assert p == factorize(n).factors[0][0]
+        assert least_prime_split(n) == (p, is_prime(n // p))
 
     def test_every_n_below_10_5(self):
         ## is_distinct_semiprime and count_poly's semiprime mode read the
@@ -135,12 +194,15 @@ class TestLeastPrimeFactor:
         for n, p in cases.items():
             assert korselt(n) and not is_prime(n)
             assert least_prime_factor(n) == p == factorize(n).factors[0][0], n
+            assert least_prime_split(n) == (p, is_prime(n // p)), n
             assert not is_distinct_semiprime(n)
 
     def test_rejects_out_of_range(self):
         for n in (-7, 0, 1, 2 ** 64, 2.0):
             with pytest.raises(ValidationError):
                 least_prime_factor(n)
+            with pytest.raises(ValidationError):
+                least_prime_split(n)
 
 
 class TestJacobi:
