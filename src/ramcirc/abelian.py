@@ -197,16 +197,14 @@ def abelian_hat_l(group: AbelianGroup) -> AbelianVerdict:
 
 ## ------------------------------------------------------------- oracle
 
-def abelian_oracle(group: AbelianGroup, l_max: int | None = None,
-                   budget: int = DEFAULT_BUDGET) -> int:
+def abelian_oracle(group: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Exact hat_l by deciding every class above l0 with oracle.class_clean.
 
     Classes of covalency at most l0 are Ramanujan outright, so the climb
-    starts at l0 + 2 and stops at the first class containing a valid
-    (connected) violator; a class left empty by the connectivity
-    requirement passes vacuously.  A pair table of more than budget
-    entries, or a class of more than budget sets where class_clean falls
-    back to oracle.enumerate_class, raises BudgetExceededError.
+    starts at l0 + 2 and runs up to |G| - 2, stopping at the first class
+    containing a valid (connected) violator; a class left empty by the
+    connectivity requirement passes vacuously.  A pair table of more than
+    budget entries, or a class of more than budget sets where class_clean
+    falls back to oracle.enumerate_class, raises BudgetExceededError.
     """
-    return climb(group.order, group.order - 2 if l_max is None else l_max,
-                 lambda l: class_clean(group, l, budget))
+    return climb(group.order, group.order - 2, lambda l: class_clean(group, l, budget))

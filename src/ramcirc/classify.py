@@ -118,15 +118,14 @@ class Verdict(NamedTuple):
         }
 
 
-def semiprime_candidates(p: int, q: int, l0: int | None = None,
-                         digits: int | None = None):
+def semiprime_candidates(p: int, q: int, digits: int | None = None):
     """The three candidate class maxima for m = p*q, p < q <= 4p - 5.
 
-    mu0 is the window value at covalency l0 + 2; mu1 and mu2 come from
-    complements packed into residue classes mod p and mod q.  mu2 has an
-    integer branch test: the single-class shape applies while
-    l0 + 2 <= 3p, the two-class shape beyond.  With digits set, all
-    three are mpmath values at that precision.
+    mu0 is the window value at covalency l0 + 2, l0 = trivial_bound(p*q);
+    mu1 and mu2 come from complements packed into residue classes mod p
+    and mod q.  mu2 has an integer branch test: the single-class shape
+    applies while l0 + 2 <= 3p, the two-class shape beyond.  With digits
+    set, all three are mpmath values at that precision.
     """
     if p % 2 == 0 or q % 2 == 0 or p < 3:
         raise ValidationError("factors must be odd and at least 3")
@@ -138,9 +137,7 @@ def semiprime_candidates(p: int, q: int, l0: int | None = None,
         raise ValidationError(
             f"q={q} exceeds 4p-5={4 * p - 5}; the candidate maxima do not apply")
     m = p * q
-    if l0 is None:
-        l0 = trivial_bound(m)
-    C = l0 + 2
+    C = trivial_bound(m) + 2
     if digits is not None:
         with mp.workdps(digits):
             mu0 = mp_sinpi_frac(C, m) / mp_sinpi_frac(1, m)
@@ -231,8 +228,8 @@ def classify(m: int, factors=None) -> Verdict:
     ## from here on, m = p*t is a distinct semiprime exactly when t is prime
     if t_prime and t <= 4 * p - 5:
         q = t
-        d = decide(m, l0 + 2, lambda: max(semiprime_candidates(p, q, l0)),
-                   lambda digits: max(semiprime_candidates(p, q, l0, digits=digits)))
+        d = decide(m, l0 + 2, lambda: max(semiprime_candidates(p, q)),
+                   lambda digits: max(semiprime_candidates(p, q, digits=digits)))
         return Verdict(
             m, l0, w, KIND_II,
             VERDICT_EXCEPTIONAL if d.is_ramanujan else VERDICT_ORDINARY,
@@ -401,7 +398,7 @@ def spectral_ordering(p: int, q: int, c: int | None = None) -> SpectralOrdering:
     regime = 1 + sum(x > b for b in cuts)
     l0 = trivial_bound(m)
     digits = None if m <= AUTO_EXTENDED_THRESHOLD else start_digits(m)
-    mu0, mu1, mu2 = semiprime_candidates(p, q, l0, digits=digits)
+    mu0, mu1, mu2 = semiprime_candidates(p, q, digits=digits)
     if digits is None:
         rb = ramanujan_bound(m, l0 + 2)
     else:

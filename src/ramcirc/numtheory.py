@@ -411,16 +411,17 @@ def count_p2_ratio(a: float, x: int) -> int:
     The prime 2 participates.  Counting is done with one sieve to x/2 and
     binary searches, so x up to 10**8 stays comfortable.
     """
-    if a <= 1:
-        raise ValidationError("ratio bound a must exceed 1")
+    if not a > 1:
+        raise ValidationError(f"ratio bound a must exceed 1, got {a}")
     if x < 6:
         return 0
     primes = sieve_primes(x // 2)
     total = 0
     for p in primes[primes <= isqrt(x)]:
         p = int(p)
-        ## q < a*p strictly; the epsilon guards against float round-up
-        hi = min(math.ceil(a * p - 1e-9) - 1, x // p)
+        ## q < a*p strictly; the epsilon guards against float round-up, and
+        ## a*p past x (an infinite a too) leaves only q <= x // p
+        hi = x // p if a * p > x else min(math.ceil(a * p - 1e-9) - 1, x // p)
         if hi <= p:
             continue
         lo_idx = np.searchsorted(primes, p, side="right")

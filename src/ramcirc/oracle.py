@@ -15,7 +15,9 @@ instead of C(h, r) sets, h = (|G| - 1)/2.  A kept set in a proper
 subgroup lies in a character kernel, so T holds every pair outside it,
 at least |G|/3 pairs; below r = |G|/3 every set of the class generates
 G and the row maximum is the class maximum.  The budget is charged for
-the h^2 table entries, built in blocks of rows.
+the h^2 table entries, built in blocks of rows; the rows, their cosines
+and their mpmath sums are spectra's phase_blocks, cos2 and mp_abs_mu,
+the same kernel every eigenvalue of the package reads.
 
 enumerate_class is the fallback for the classes where generation can
 bind and no violating row's extreme set generates (none of those that
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass
 from math import comb, gcd
 
-import mpmath as mp
 import numpy as np
 
 from . import precision
@@ -56,17 +57,16 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
     ValidationError,
 )
 from .numtheory import least_prime_split
-from .precision import mp_cos2pi_frac
 from .spectra import (
-    _BLOCK,
     CayleySet,
-    _cos2,
     check_covalency,
     check_modulus,
+    cos2,
     group_orders,
     is_ramanujan,
+    mp_abs_mu,
     pair_characters,
-    phase_table,
+    phase_blocks,
     ramanujan_bound,
     spectrum,
     window_complement,
@@ -76,37 +76,33 @@ from .spectra import (
 def _row_extremes(orders: tuple[int, ...], r: int, budget: int):
     """Yield (K, absmax, from_top) over blocks of consecutive pair characters.
 
-    K holds the block's rows of the pair table, phases against every
-    pair in the order of spectra.pair_characters, folded to
-    min(k, L - k) as spectra._cos2 folds them.  With top and bottom the
-    sums of the r largest and the r smallest entries 2*cos(2*pi*k/L) of
-    a row, absmax is max(1 + top, -1 - bottom), the row's largest |mu|
-    over the class, and from_top whether 1 + top attains it.  The cosine
-    falls as a folded phase grows, so both sums are read off the sorted
-    phases, and rows with one multiset of phases (a unit orbit) give the
-    same bits.  The budget is charged for the h^2 table entries, h the
-    number of pairs.
+    K holds the block's rows of the pair table from spectra.phase_blocks:
+    phases against every pair in the order of spectra.pair_characters,
+    folded to min(k, L - k).  With top and bottom the sums of the r
+    largest and the r smallest entries spectra.cos2 of a row, absmax is
+    max(1 + top, -1 - bottom), the row's largest |mu| over the class,
+    and from_top whether 1 + top attains it.  The cosine falls as a
+    folded phase grows, so both sums are read off the sorted phases, and
+    rows with one multiset of phases (a unit orbit) give the same bits.
+    The budget is charged for the h^2 table entries, h the number of
+    pairs.
     """
     h, L = (math.prod(orders) - 1) // 2, orders[-1]
     if h * h > budget:
         raise BudgetExceededError(h * h, budget, "table entries")
     R = pair_characters(orders)
-    cos2 = _cos2(L, np.arange(L // 2 + 1))
-    step = max(1, _BLOCK // h)
-    for lo in range(0, h, step):
-        K = phase_table(orders, R[lo:lo + step], R)
-        K = np.minimum(K, L - K)
+    table = cos2(L, np.arange(L // 2 + 1))
+    for K in phase_blocks(orders, R, R):
         S = np.sort(K, axis=1)
-        top = 1.0 + cos2[S[:, :r]].sum(axis=1)
-        bottom = -(1.0 + cos2[S[:, h - r:]].sum(axis=1))
+        top = 1.0 + table[S[:, :r]].sum(axis=1)
+        bottom = -(1.0 + table[S[:, h - r:]].sum(axis=1))
         yield K, np.maximum(top, bottom), top >= bottom
 
 
 def _mp_row_max(k: np.ndarray, r: int, L: int):
     """The absmax of the folded row k in mpmath, from its exact phases."""
     s = np.sort(k).tolist()
-    return max(abs(1 + mp.fsum(2 * mp_cos2pi_frac(x, L) for x in side))
-               for side in (s[:r], s[len(s) - r:]))
+    return max(mp_abs_mu(side, L) for side in (s[:r], s[len(s) - r:]))
 
 
 def _extreme_reps(orders: tuple[int, ...], k: np.ndarray, r: int,
@@ -345,9 +341,8 @@ def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET) -> CrosscheckRepo
     if q > 4 * p - 5:
         raise ValidationError(
             f"q={q} exceeds 4p-5={4 * p - 5}; the candidate formula does not apply")
-    l0 = trivial_bound(m)
-    l = l0 + 2
-    mu_closed = float(max(semiprime_candidates(p, q, l0)))
+    l = trivial_bound(m) + 2
+    mu_closed = float(max(semiprime_candidates(p, q)))
     cm = class_max(m, l, budget)
     delta = abs(cm.mu - mu_closed)
     families = {

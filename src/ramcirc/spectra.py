@@ -10,17 +10,20 @@ eigenvalue is computed as minus a character sum over T,
     mu_chi = -sum_{t in T} cos(2*pi*<chi, t>)   (mu_j = -sum_{b in T} cos(2*pi*b*j/m) on Z_m),
 
 with mu_0 = |G| - |T| the valency and <chi, t> an exact integer phase
-in units of 1/exponent, from phase_table, which ramcirc.oracle shares.
-A graph of valency k is Ramanujan when max_{chi != 0} |mu_chi| <=
-2*sqrt(k-1); the comparison is non-strict and borderline margins
-escalate to extended precision.
+in units of 1/exponent L.  phase_blocks, cos2 and mp_abs_mu are the one
+place a phase becomes an eigenvalue, here and in ramcirc.oracle:
+phase_blocks yields the phase table in blocks, each phase k folded to
+min(k, L - k) so that chi and -chi get exactly equal values, cos2 turns
+folded phases into doubles 2*cos(2*pi*k/L), and mp_abs_mu sums one row
+in mpmath from the exact phases.  A graph of valency k is Ramanujan when
+max_{chi != 0} |mu_chi| <= 2*sqrt(k-1); the comparison is non-strict
+and borderline margins escalate to extended precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import mpmath as mp
@@ -34,9 +37,6 @@ if TYPE_CHECKING:
 
 ## entries of one block of a phase table held at once
 _BLOCK = 1 << 17
-
-## groups up to this order keep their spectrum tables between calls
-_CACHED_ORDER = 1 << 12
 
 
 def check_modulus(m: int) -> None:
@@ -76,6 +76,28 @@ def phase_table(orders: tuple[int, ...], chars: np.ndarray,
     character takes the coordinates of an element, G being its own dual."""
     L = orders[-1]
     return ((chars * (L // np.array(orders))) @ elems.T) % L
+
+
+def phase_blocks(orders: tuple[int, ...], chars: np.ndarray, cols: np.ndarray):
+    """Yield phase_table(orders, chars, cols) in blocks of consecutive
+    characters of at most _BLOCK entries, each phase k folded to
+    min(k, L - k), L the exponent."""
+    L = orders[-1]
+    rows = max(1, _BLOCK // max(1, len(cols)))
+    for lo in range(0, len(chars), rows):
+        K = phase_table(orders, chars[lo:lo + rows], cols)
+        yield np.minimum(K, L - K)
+
+
+def cos2(L: int, folded: np.ndarray) -> np.ndarray:
+    """2*cos(2*pi*k/L) for each folded phase k of phase_blocks."""
+    return 2.0 * np.cos(folded * (2.0 * math.pi / L))
+
+
+def mp_abs_mu(phases, L: int):
+    """|1 + sum_k 2*cos(2*pi*k/L)| over the phases k, at the current
+    mpmath precision, every argument reduced exactly."""
+    return abs(1 + mp.fsum(2 * mp_cos2pi_frac(k, L) for k in phases))
 
 
 def _rows(items: list, orders: tuple[int, ...]) -> np.ndarray:
@@ -129,7 +151,8 @@ class CayleySet:
             orders, chars = self.orders, pair_characters(self.orders)
             kernel = m // np.lcm.reduce(np.array(orders) // np.gcd(chars, orders), axis=1)
             outside = np.concatenate(
-                [(p != 0).sum(axis=1) for p in _phase_blocks(self, chars)])
+                [(k != 0).sum(axis=1) for k in
+                 phase_blocks(orders, chars, self._removed_reps())])
             if np.any(2 * outside == m - kernel):
                 raise ValidationError("kept elements do not generate the group")
 
@@ -189,25 +212,6 @@ def window_complement(m: int, l: int) -> CayleySet:
     return CayleySet.from_pairs(m, range(1, (l - 1) // 2 + 1))
 
 
-def _cos2(L: int, phases: np.ndarray) -> np.ndarray:
-    """2*cos(2*pi*k/L) for each phase k, evaluated at min(k, L - k) so that
-    chi and -chi, whose phases mirror, get exactly equal values."""
-    return 2.0 * np.cos(np.minimum(phases, L - phases) * (2.0 * math.pi / L))
-
-
-def _tables(orders: tuple[int, ...]):
-    """Every element (the characters, in product order) and _cos2 of every
-    phase 0..L-1, as read-only arrays."""
-    L = orders[-1]
-    tables = elements(orders), _cos2(L, np.arange(L))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
-_cached_tables = lru_cache(maxsize=64)(_tables)
-
-
 def eigenvalue(cayley: CayleySet, chi) -> float:
     """Eigenvalue of the character chi, an index j in [0, m) on Z_m and a
     canonical tuple on an AbelianGroup; the trivial one gives the valency."""
@@ -216,8 +220,8 @@ def eigenvalue(cayley: CayleySet, chi) -> float:
     if not np.any(chi):
         return float(cayley.valency)
     orders = cayley.orders
-    phases = next(_phase_blocks(cayley, _rows([chi], orders))).astype(float)
-    return float(-1.0 - _cos2(orders[-1], phases).sum())
+    k = next(phase_blocks(orders, _rows([chi], orders), cayley._removed_reps()))
+    return float(-1.0 - cos2(orders[-1], k.astype(float)).sum())
 
 
 def _check_budget(cayley: CayleySet) -> None:
@@ -227,23 +231,14 @@ def _check_budget(cayley: CayleySet) -> None:
         raise BudgetExceededError(terms, DEFAULT_BUDGET, "cosine terms")
 
 
-def _phase_blocks(cayley: CayleySet, chars: np.ndarray):
-    """Yield the phase table of chars against the removed pairs, in blocks
-    of consecutive characters of at most _BLOCK entries."""
-    cols = cayley._removed_reps()
-    rows = max(1, _BLOCK // max(1, len(cols)))
-    for lo in range(0, len(chars), rows):
-        yield phase_table(cayley.orders, chars[lo:lo + rows], cols)
-
-
 def spectrum(cayley: CayleySet) -> Spectrum:
     """All |G| eigenvalues, indexed by the characters in product order
     (on Z_m, mu_j at j)."""
     _check_budget(cayley)
-    m, orders = cayley.m, cayley.orders
-    E, cos2 = (_cached_tables if m <= _CACHED_ORDER else _tables)(orders)
-    values = np.concatenate([-1.0 - cos2[phases].sum(axis=1)
-                             for phases in _phase_blocks(cayley, E)]).tolist()
+    m, orders, L = cayley.m, cayley.orders, cayley.orders[-1]
+    table = cos2(L, np.arange(L // 2 + 1))
+    blocks = phase_blocks(orders, elements(orders), cayley._removed_reps())
+    values = np.concatenate([-1.0 - table[k].sum(axis=1) for k in blocks]).tolist()
     values[0] = float(cayley.valency)
     return Spectrum(m, cayley.valency, tuple(values), max(map(abs, values[1:])),
                     ramanujan_bound(m, cayley.covalency))
@@ -276,12 +271,12 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
 
 def _mp_mu_max(cayley: CayleySet):
     """max |mu_chi| over chi != 0 at the current mpmath precision, one
-    character per negation pair, phases taken at min(k, L - k) as in _cos2."""
+    character per negation pair."""
     _check_budget(cayley)
-    L, best = cayley.orders[-1], mp.mpf(0)
-    for phases in _phase_blocks(cayley, pair_characters(cayley.orders)):
-        for row in np.minimum(phases, L - phases).tolist():
-            best = max(best, abs(1 + mp.fsum(2 * mp_cos2pi_frac(k, L) for k in row)))
+    orders, best = cayley.orders, mp.mpf(0)
+    for K in phase_blocks(orders, pair_characters(orders), cayley._removed_reps()):
+        for row in K.tolist():
+            best = max(best, mp_abs_mu(row, orders[-1]))
     return best
 
 

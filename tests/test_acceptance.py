@@ -69,7 +69,7 @@ def family_margins(p, q, digits):
     m = p * q
     l0 = trivial_bound(m)
     with mp.workdps(digits):
-        mu0, mu1, mu2 = semiprime_candidates(p, q, l0, digits=digits)
+        mu0, mu1, mu2 = semiprime_candidates(p, q, digits=digits)
         rb = 2 * mp.sqrt(m - l0 - 3)
         return [float(mu0 - rb), float(mu1 - rb), float(mu2 - rb)]
 

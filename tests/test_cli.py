@@ -231,6 +231,20 @@ class TestCount:
         assert got["count"] == count_p2_ratio(3, 5000) == 157
         assert got["normalized"] is not None
 
+    @pytest.mark.parametrize("a", ["inf", "1e308"])
+    def test_p2_unbounded_ratio_counts_every_semiprime(self, capsys, a):
+        ## past x, the ratio bound no longer binds: the count is that of a = 1000
+        code, out, err = run(capsys, "count", "p2", "--a", a, "--x", "1000")
+        assert code == 0 and "Traceback" not in err
+        assert "count = 288" in out
+        assert run(capsys, "count", "p2", "--a", "1000", "--x", "1000")[1] == out
+
+    @pytest.mark.parametrize("a", ["nan", "1", "0.5"])
+    def test_p2_ratio_not_above_one_exits_2(self, capsys, a):
+        code, out, err = run(capsys, "count", "p2", "--a", a, "--x", "1000")
+        assert code == 2 and out == ""
+        assert "ratio bound" in err and "Traceback" not in err
+
     def test_poly(self, capsys):
         code, out, _ = run(capsys, "--json", "count", "poly",
                            "--coeffs", "1,5,-5", "--x", "50",

@@ -1,8 +1,10 @@
-"""Package layout: no module of ramcirc imports ramcirc inside a function.
+"""Package layout: no module of ramcirc imports ramcirc inside a function,
+or imports another module's underscore names.
 
 A deferred import hides an import cycle between two modules; the fix is
 to move the code that needs both into the module that already imports
-the other.
+the other.  An imported underscore name is a second copy of one module's
+internals; the fix is a public name that both modules read.
 """
 
 import ast
@@ -45,4 +47,43 @@ def test_no_module_imports_ramcirc_inside_a_function():
     assert len(modules) > 5
     found = {p.name: lines for p in modules
              if (lines := _deferred_imports(p.read_text()))}
+    assert found == {}
+
+
+def _private_imports(source: str) -> list[int]:
+    """Line numbers of imports of an underscore name from a ramcirc module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "ramcirc"
+            names = [a.name for a in node.names] if internal else []
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names if a.name.split(".")[0] == "ramcirc"
+                     for part in a.name.split(".")[1:]]
+        else:
+            continue
+        if any(n.startswith("_") for n in names):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_detects_each_private_form():
+    for body in ("from .spectra import _BLOCK",
+                 "from ramcirc.spectra import _cos2",
+                 "from .spectra import _cos2 as cos2",
+                 "from . import _private",
+                 "import ramcirc._private"):
+        assert _private_imports(f"import math\n{body}\n") == [2], body
+    assert _private_imports("from .spectra import (\n    CayleySet,\n"
+                            "    _BLOCK,\n)\n") == [1]
+    assert _private_imports("from .spectra import CayleySet, phase_blocks\n"
+                            "from os import _exit\nimport ramcirc.spectra\n") == []
+
+
+def test_no_module_imports_an_underscore_name_from_ramcirc():
+    src = Path(ramcirc.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    found = {p.name: lines for p in modules
+             if (lines := _private_imports(p.read_text()))}
     assert found == {}

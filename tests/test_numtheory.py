@@ -365,6 +365,14 @@ class TestCounting:
         assert count_p2_ratio(4, 100) == brute(4, 100)
         assert count_p2_ratio(1.5, 3000) == brute(1.5, 3000)
 
+    def test_p2_non_finite_ratios(self):
+        ## a ratio bound past x leaves only p*q <= x; nan is not above 1
+        assert count_p2_ratio(math.inf, 1000) == count_p2_ratio(1e308, 1000) \
+            == count_p2_ratio(1000, 1000) == 288
+        for a in (math.nan, -math.inf, 1):
+            with pytest.raises(ValidationError):
+                count_p2_ratio(a, 1000)
+
     def test_p2_normalized_count_stays_bounded(self):
         ## the ratio-constrained semiprime count grows like x/(log x)^2
         vals = []

@@ -2,15 +2,23 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from ramcirc.errors import ValidationError
 from ramcirc.spectra import (
+    _BLOCK,
     CayleySet,
+    cos2,
     eigenvalue,
+    elements,
     is_ramanujan,
+    mp_abs_mu,
+    pair_characters,
+    phase_blocks,
+    phase_table,
     ramanujan_bound,
     spectrum,
     window_complement,
@@ -114,6 +122,29 @@ class TestSpectrum:
         cs = window_complement(19, 5)
         with pytest.raises(ValidationError):
             eigenvalue(cs, 19)
+
+
+class TestPhaseKernel:
+    @pytest.mark.parametrize("orders, several", [
+        ((2001,), True), ((3, 3, 3), False), ((5, 25), False)])
+    def test_blocks_fold_one_phase_table(self, orders, several):
+        L = orders[-1]
+        chars = pair_characters(orders)
+        ## about a third of the elements as columns: on Z_2001 that is
+        ## 1000 rows of ~670 entries, several blocks
+        E = elements(orders)
+        cols = E[np.random.default_rng(15).random(len(E)) < 1 / 3]
+        blocks = list(phase_blocks(orders, chars, cols))
+        assert (len(blocks) > 1) == several
+        assert all(b.size <= _BLOCK for b in blocks)
+        K = np.concatenate(blocks)
+        assert 0 <= K.min() and K.max() <= L // 2
+        T = phase_table(orders, chars, cols)
+        assert np.array_equal(K, np.minimum(T, L - T))
+        with mp.workdps(50):
+            for row in K[::max(1, len(K) // 25)]:
+                assert float(mp_abs_mu(row.tolist(), L)) == pytest.approx(
+                    abs(1.0 + cos2(L, row).sum()), abs=1e-12)
 
 
 class TestWindowEigenvalue:
