@@ -32,7 +32,6 @@ from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 from . import precision
@@ -139,6 +138,7 @@ def semiprime_candidates(p: int, q: int, digits: int | None = None):
     m = p * q
     C = trivial_bound(m) + 2
     if digits is not None:
+        import mpmath as mp
         with mp.workdps(digits):
             mu0 = mp_sinpi_frac(C, m) / mp_sinpi_frac(1, m)
             mu1 = q + (C - q) * mp_cos2pi_frac(1, p)
@@ -402,6 +402,7 @@ def spectral_ordering(p: int, q: int, c: int | None = None) -> SpectralOrdering:
     if digits is None:
         rb = ramanujan_bound(m, l0 + 2)
     else:
+        import mpmath as mp
         with mp.workdps(digits):
             rb = 2 * mp.sqrt(m - l0 - 3)
     ranked = sorted(zip((mu0, mu1, mu2, rb), ("mu0", "mu1", "mu2", "rb")))

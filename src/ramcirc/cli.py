@@ -3,7 +3,8 @@
 One executable, `ramcirc`, with one subcommand per question the library
 answers.  The table subcommands recompute a pinned reference table and
 report PASS or FAIL per row, exiting 3 on any mismatch; `--json` swaps
-the text output for one compact JSON document.  Extended precision needs
+the text output for one compact JSON document, strict RFC 8259 JSON with
+no NaN or Infinity (a non-finite input is echoed as a string).  Extended precision needs
 no flag: precision.decide works out the digits of each comparison.
 
 Exit codes: 0 success, 2 invalid input or an exceeded budget, 3 an
@@ -16,9 +17,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-
-import mpmath as mp
 
 from . import golden
 from .abelian import AbelianGroup, abelian_hat_l, abelian_oracle
@@ -51,7 +51,7 @@ from .spectra import CayleySet, decide_spectrum, spectrum
 
 def _emit(args, payload, lines) -> None:
     if args.json:
-        print(json.dumps(payload, separators=(",", ":")))
+        print(json.dumps(payload, separators=(",", ":"), allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -228,6 +228,7 @@ def cmd_table3(args) -> int:
 
 
 def _family_margins(p: int, q: int, digits: int):
+    import mpmath as mp
     m = p * q
     l0 = trivial_bound(m)
     with mp.workdps(digits):
@@ -335,7 +336,8 @@ def cmd_count(args) -> int:
     elif args.what == "p2":
         n = count_p2_ratio(args.a, args.x)
         norm = landau_normalizer(args.x) if args.x > 3 else None
-        payload = {"a": args.a, "x": args.x, "count": n,
+        payload = {"a": args.a if math.isfinite(args.a) else "inf",
+                   "x": args.x, "count": n,
                    "normalized": None if norm is None else n / norm}
         lines = [f"count = {n}",
                  f"count / (x log log x / log x) = {_fmt(payload['normalized'])}"]

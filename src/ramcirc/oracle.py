@@ -35,7 +35,10 @@ the definition of the spectrum.  The one shortcut is provable on its
 own: covalencies l <= l0 satisfy (l + 2)^2 <= 4m, hence
 mu <= l <= 2*sqrt(m - l - 1), so those classes are Ramanujan without a
 table.  A row extreme within precision.ESCALATION_MARGIN of
-2*sqrt(|G| - l - 1) is decided from its exact phases by precision.decide.
+2*sqrt(|G| - l - 1) is decided from its exact phases by precision.decide,
+which first asks spectra.proves_tie whether the sides of the row that
+reach its extreme tie the bound exactly; a proved tie counts as
+Ramanujan without an mpmath pass.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
 )
 from .numtheory import least_prime_split
 from .spectra import (
+    TIE_SLACK,
     CayleySet,
     check_covalency,
     check_modulus,
@@ -67,6 +71,7 @@ from .spectra import (
     mp_abs_mu,
     pair_characters,
     phase_blocks,
+    proves_tie,
     ramanujan_bound,
     spectrum,
     window_complement,
@@ -99,10 +104,24 @@ def _row_extremes(orders: tuple[int, ...], r: int, budget: int):
         yield K, np.maximum(top, bottom), top >= bottom
 
 
+def _sides(k: np.ndarray, r: int) -> np.ndarray:
+    """The r smallest and the r largest phases of the folded row k, as two
+    rows: the sets of the class whose |mu| can be the row's absmax."""
+    s = np.sort(k)
+    return np.stack([s[:r], s[len(s) - r:]])
+
+
 def _mp_row_max(k: np.ndarray, r: int, L: int):
     """The absmax of the folded row k in mpmath, from its exact phases."""
-    s = np.sort(k).tolist()
-    return max(mp_abs_mu(side, L) for side in (s[:r], s[len(s) - r:]))
+    return max(mp_abs_mu(side, L) for side in _sides(k, r).tolist())
+
+
+def _row_tie(k: np.ndarray, r: int, L: int, valency: int) -> bool | None:
+    """spectra.proves_tie on the sides of the folded row k whose |mu| in
+    doubles is within spectra.TIE_SLACK of the row's absmax."""
+    sides = _sides(k, r)
+    mu = np.abs(1.0 + cos2(L, sides).sum(axis=1))
+    return proves_tie(sides[mu >= mu.max() - TIE_SLACK], L, valency)
 
 
 def _extreme_reps(orders: tuple[int, ...], k: np.ndarray, r: int,
@@ -139,8 +158,9 @@ def class_clean(group, l: int, budget: int) -> bool:
 
     group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
     Every row extreme within precision.ESCALATION_MARGIN of
-    2*sqrt(|G| - l - 1), or past it, goes through precision.decide,
-    whose extended value is the same r-sum from exact phases.  A
+    2*sqrt(|G| - l - 1), or past it, goes through precision.decide:
+    an exact tie is proved by _row_tie, and any other margin is refined
+    from the same r-sum of exact phases.  A
     violating row ends the class when its extreme set generates G, as
     every set does for 3r < |G|; when no violating row's set generates,
     is_ramanujan decides each set of enumerate_class.  An empty class
@@ -155,7 +175,8 @@ def class_clean(group, l: int, budget: int) -> bool:
         for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
             k = K[i]
             if precision.decide(n, l, lambda: float(absmax[i]),
-                                lambda _digits: _mp_row_max(k, r, L)).is_ramanujan:
+                                lambda _digits: _mp_row_max(k, r, L),
+                                tie=lambda: _row_tie(k, r, L, n - l)).is_ramanujan:
                 continue
             if 3 * r < n or _generates(
                     group, _extreme_reps(orders, k, r, from_top[i])):

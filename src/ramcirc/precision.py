@@ -7,7 +7,11 @@ starting at start_digits(m) digits and doubling until the margin is
 resolved, and every trigonometric argument is first reduced modulo the
 period in exact integer arithmetic so that accuracy survives moduli
 around 10**13 and far beyond.  decide is the one place where a Ramanujan
-comparison takes that route.
+comparison takes that route.  A caller that holds the exact phases may
+hand decide a tie certificate (spectra.proves_tie), which settles an
+exact tie in doubles before any mpmath pass; a margin that no precision
+resolves and no certificate proves is the one tie that is assumed.
+mpmath is imported only on the branches that use it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
+from .errors import InternalInvariantError
 
 ## doubles carry ~15.9 significant digits; above this modulus the
 ## comparisons made here cannot be trusted to a double at all, so the
@@ -38,11 +42,13 @@ MAX_DIGITS = 400
 
 def mp_cos2pi_frac(num: int, den: int):
     """cos(2*pi*num/den) at the current mpmath precision, exact reduction."""
+    import mpmath as mp
     return mp.cospi(mp.mpf(2 * (num % den)) / den)
 
 
 def mp_sinpi_frac(num: int, den: int):
     """sin(pi*num/den) at the current mpmath precision, exact reduction."""
+    import mpmath as mp
     return mp.sinpi(mp.mpf(num % (2 * den)) / den)
 
 
@@ -54,6 +60,7 @@ def refine_margin(margin_fn, digits: int, scale: float = 1.0):
     (margin, digits, resolved); an unresolved margin after MAX_DIGITS is
     reported as a tie.
     """
+    import mpmath as mp
     while True:
         with mp.workdps(digits):
             val = margin_fn(digits)
@@ -74,17 +81,24 @@ class RamanujanDecision:
     escalated: bool
     digits: int | None = None
     resolved: bool = True
+    ## an exact tie proved by its conjugates in doubles, without mpmath
+    tie_proved: bool = False
 
 
-def decide(m: int, l: int, mu_double, mu_mp) -> RamanujanDecision:
+def decide(m: int, l: int, mu_double, mu_mp, tie=None) -> RamanujanDecision:
     """Decide mu <= 2*sqrt(m - l - 1) for a spectral maximum mu.
 
     mu_double() gives mu in doubles and is used while m is at most
-    AUTO_EXTENDED_THRESHOLD and the margin clears ESCALATION_MARGIN;
-    otherwise mu_mp(digits) gives mu at the current mpmath precision and
+    AUTO_EXTENDED_THRESHOLD and the margin clears ESCALATION_MARGIN.
+    Otherwise the optional tie() is asked first: True proves the margin
+    exactly zero, which counts as Ramanujan with mu_max == rb and no
+    mpmath pass; False proves it nonzero; None proves nothing.  Then
+    mu_mp(digits) gives mu at the current mpmath precision and
     refine_margin raises the digits until the margin is resolved.  The
-    comparison is non-strict, and a margin no precision resolves is an
-    exact tie: it is reported as 0.0, unresolved, and counts as Ramanujan.
+    comparison is non-strict.  A margin no precision resolves is an
+    exact tie when tie() did not prove it nonzero: it is reported as
+    0.0, unresolved, and counts as Ramanujan; after a proof that it is
+    nonzero it is an InternalInvariantError.
     """
     if m <= AUTO_EXTENDED_THRESHOLD:
         mu = mu_double()
@@ -93,6 +107,12 @@ def decide(m: int, l: int, mu_double, mu_mp) -> RamanujanDecision:
         if abs(margin) >= ESCALATION_MARGIN:
             return RamanujanDecision(margin >= 0.0, mu, rb, margin,
                                      escalated=False)
+    proved = None if tie is None else tie()
+    if proved:
+        rb = 2.0 * math.sqrt(m - l - 1)
+        return RamanujanDecision(True, rb, rb, 0.0, escalated=True,
+                                 tie_proved=True)
+    import mpmath as mp
     ## mu and rb of the final pass, reported without a second evaluation
     last = {}
 
@@ -103,6 +123,10 @@ def decide(m: int, l: int, mu_double, mu_mp) -> RamanujanDecision:
     margin, digits, resolved = refine_margin(
         margin_fn, start_digits(m), scale=max(1.0, math.sqrt(m)))
     if not resolved:
+        if proved is False:
+            raise InternalInvariantError(
+                f"a margin proved nonzero stayed unresolved at {digits} "
+                f"digits (m={m}, l={l})")
         margin = 0.0
     return RamanujanDecision(margin >= 0.0, float(last["mu"]), float(last["rb"]),
                              margin, escalated=True, digits=digits,

@@ -17,7 +17,9 @@ min(k, L - k) so that chi and -chi get exactly equal values, cos2 turns
 folded phases into doubles 2*cos(2*pi*k/L), and mp_abs_mu sums one row
 in mpmath from the exact phases.  A graph of valency k is Ramanujan when
 max_{chi != 0} |mu_chi| <= 2*sqrt(k-1); the comparison is non-strict
-and borderline margins escalate to extended precision.
+and borderline margins escalate to extended precision.  An exact tie
+|mu| = 2*sqrt(k-1) is proved from the phases by proves_tie, in doubles,
+and counts as Ramanujan; no precision would ever resolve it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
@@ -37,6 +38,10 @@ if TYPE_CHECKING:
 
 ## entries of one block of a phase table held at once
 _BLOCK = 1 << 17
+
+## rows whose |mu| in doubles lies this close to the largest may attain
+## it: far above the doubles' error, and far below any gap between values
+TIE_SLACK = 1e-9
 
 
 def check_modulus(m: int) -> None:
@@ -97,7 +102,56 @@ def cos2(L: int, folded: np.ndarray) -> np.ndarray:
 def mp_abs_mu(phases, L: int):
     """|1 + sum_k 2*cos(2*pi*k/L)| over the phases k, at the current
     mpmath precision, every argument reduced exactly."""
+    import mpmath as mp
     return abs(1 + mp.fsum(2 * mp_cos2pi_frac(k, L) for k in phases))
+
+
+def _half_totient(L: int) -> int:
+    """phi(L)/2, the number of units u of Z_L with 1 <= u <= L/2, for L >= 3."""
+    n, phi, p = L, L, 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return (phi - phi // n if n > 1 else phi) // 2
+
+
+def proves_tie(phases, L: int, valency: int) -> bool | None:
+    """Whether alpha = (1 + sum_k 2*cos(2*pi*k/L))**2 - 4*(valency - 1) is
+    exactly zero, for one row of phases k or for each row of a 2-D array.
+
+    alpha is an algebraic integer of Q(zeta_L), and its Galois conjugates
+    alpha_u are the same expression at the phases u*k, one for each unit
+    u of Z_L with 1 <= u <= L/2 (u and -u give one value).  A nonzero
+    alpha has a nonzero integer norm, the product of its conjugates, so
+    some |alpha_u| >= 1.  Computed in doubles for every such u, all
+    |alpha_u| < 1/2 prove alpha = 0, and one |alpha_u| >= 1/2 proves
+    alpha != 0.  Returns True when every row is proved zero and False
+    when every row is proved nonzero.  Returns None when the rows
+    disagree, when the phi(L)/2 cosines per phase exceed DEFAULT_BUDGET
+    or L >= 2**31, or when the doubles' error, below
+    2e-14 * ((2r + 1)**2 + 4*valency) for rows of r phases, could
+    reach 1/4.
+    """
+    if L >= 1 << 31:
+        return None
+    K = np.atleast_2d(np.asarray(phases, dtype=np.int64))
+    units = _half_totient(L)
+    if ((2 * K.shape[1] + 1) ** 2 + 4 * valency > 10 ** 13
+            or units * K.size > DEFAULT_BUDGET):
+        return None
+    nonzero = np.zeros(len(K), dtype=bool)
+    step = max(1, _BLOCK // max(1, K.size))
+    for lo in range(1, L // 2 + 1, step):
+        u = np.arange(lo, min(lo + step, L // 2 + 1))
+        P = (u[np.gcd(u, L) == 1][:, None, None] * K) % L
+        mu = 1.0 + cos2(L, np.minimum(P, L - P)).sum(axis=2)
+        nonzero |= np.any(np.abs(mu * mu - 4.0 * (valency - 1)) >= 0.5, axis=0)
+        if nonzero.all():
+            return False
+    return None if nonzero.any() else True
 
 
 def _rows(items: list, orders: tuple[int, ...]) -> np.ndarray:
@@ -262,6 +316,7 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
     if not 1 <= j <= m - 1:
         raise ValidationError("index j must lie in [1, m-1]")
     if digits is not None:
+        import mpmath as mp
         with mp.workdps(digits):
             return -mp_sinpi_frac(j * l, m) / mp_sinpi_frac(j, m)
     num = math.sin(math.pi * ((j * l) % (2 * m)) / m)
@@ -272,6 +327,7 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
 def _mp_mu_max(cayley: CayleySet):
     """max |mu_chi| over chi != 0 at the current mpmath precision, one
     character per negation pair."""
+    import mpmath as mp
     _check_budget(cayley)
     orders, best = cayley.orders, mp.mpf(0)
     for K in phase_blocks(orders, pair_characters(orders), cayley._removed_reps()):
@@ -280,15 +336,29 @@ def _mp_mu_max(cayley: CayleySet):
     return best
 
 
+def _spectrum_tie(cayley: CayleySet, spec: Spectrum) -> bool | None:
+    """proves_tie on the rows of the characters whose |mu| in doubles is
+    within TIE_SLACK of spec.mu_max."""
+    mu = np.abs(np.array(spec.values))
+    mu[0] = -math.inf
+    orders = cayley.orders
+    chars = elements(orders)[mu >= spec.mu_max - TIE_SLACK]
+    rows = np.concatenate(list(phase_blocks(orders, chars, cayley._removed_reps())))
+    return proves_tie(rows, orders[-1], cayley.valency)
+
+
 def decide_spectrum(cayley: CayleySet, spec: Spectrum) -> RamanujanDecision:
-    """is_ramanujan(cayley) for a set whose spectrum spec is already known."""
+    """is_ramanujan(cayley) for a set whose spectrum spec is already known;
+    a margin near zero is first offered to proves_tie."""
     return decide(cayley.m, cayley.covalency, lambda: spec.mu_max,
-                  lambda _digits: _mp_mu_max(cayley))
+                  lambda _digits: _mp_mu_max(cayley),
+                  tie=lambda: _spectrum_tie(cayley, spec))
 
 
 def is_ramanujan(cayley: CayleySet) -> RamanujanDecision:
     """Decide mu_max <= 2*sqrt(k-1) through precision.decide.
 
-    The comparison is non-strict: an exact tie counts as Ramanujan.
+    The comparison is non-strict: an exact tie, proved by proves_tie,
+    counts as Ramanujan.
     """
     return decide_spectrum(cayley, spectrum(cayley))

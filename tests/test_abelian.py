@@ -18,7 +18,6 @@ from ramcirc.abelian import (
 from ramcirc.bounds import trivial_bound
 from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.numtheory import sieve_primes
-from ramcirc.precision import MAX_DIGITS
 from ramcirc.spectra import CayleySet, eigenvalue, is_ramanujan, spectrum
 
 
@@ -139,15 +138,16 @@ class TestSpectrumValues:
 
     def test_exact_tie_counts_as_ramanujan(self):
         ## Z_45 at covalency 19: the character of order 3 (j = 15) gives
-        ## |mu| = 10 = 2*sqrt(25) exactly, a tie no precision resolves
+        ## |mu| = 10 = 2*sqrt(25) exactly, a tie no precision resolves and
+        ## the conjugates of the margin prove, with no mpmath pass
         pairs = (1, 3, 4, 6, 7, 9, 12, 15, 18)
         cyc = CayleySet.from_pairs(45, pairs)
         assert cyc.covalency == 19
         assert spectrum(cyc).values[15] == pytest.approx(-10.0, abs=1e-12)
         d = is_ramanujan(cyc)
         assert d.is_ramanujan
-        assert d.escalated and not d.resolved
-        assert d.margin == 0.0 and d.digits == MAX_DIGITS
+        assert d.escalated and d.tie_proved and d.digits is None
+        assert d.margin == 0.0 and d.mu_max == d.rb == 10.0
         s = CayleySet.from_pairs(AbelianGroup((45,)), [(a,) for a in pairs])
         assert abelian_is_ramanujan(s)
 
@@ -156,8 +156,8 @@ class TestSpectrumValues:
         s = CayleySet.from_pairs(AbelianGroup((45,)), [(a,) for a in pairs])
         d = is_ramanujan(s)
         assert d == is_ramanujan(CayleySet.from_pairs(45, pairs))
-        assert d.escalated and not d.resolved
-        assert d.digits == MAX_DIGITS and d.margin == 0.0
+        assert d.escalated and d.tie_proved and d.digits is None
+        assert d.margin == 0.0 and d.mu_max == d.rb == 10.0
         assert abelian_is_ramanujan(s) is True
 
     def test_policy_reaches_noncyclic_sets(self, monkeypatch):

@@ -239,6 +239,18 @@ class TestCount:
         assert "count = 288" in out
         assert run(capsys, "count", "p2", "--a", "1000", "--x", "1000")[1] == out
 
+    @pytest.mark.parametrize("a", ["inf", "1e308"])
+    def test_p2_json_is_strict(self, capsys, a):
+        ## RFC 8259 has no Infinity: a non-finite ratio is echoed as "inf"
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, err = run(capsys, "--json", "count", "p2", "--a", a, "--x", "1000")
+        assert code == 0 and "Traceback" not in err
+        got = json.loads(out, parse_constant=reject)
+        assert got["a"] == ("inf" if a == "inf" else 1e308)
+        assert got["count"] == 288
+
     @pytest.mark.parametrize("a", ["nan", "1", "0.5"])
     def test_p2_ratio_not_above_one_exits_2(self, capsys, a):
         code, out, err = run(capsys, "count", "p2", "--a", a, "--x", "1000")

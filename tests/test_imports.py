@@ -1,13 +1,19 @@
 """Package layout: no module of ramcirc imports ramcirc inside a function,
-or imports another module's underscore names.
+imports another module's underscore names, or imports mpmath at module
+level.
 
 A deferred import hides an import cycle between two modules; the fix is
 to move the code that needs both into the module that already imports
 the other.  An imported underscore name is a second copy of one module's
-internals; the fix is a public name that both modules read.
+internals; the fix is a public name that both modules read.  mpmath is
+needed only when a margin escalates, so it is imported on those branches
+alone, and a run that never escalates never loads it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ramcirc
@@ -87,3 +93,60 @@ def test_no_module_imports_an_underscore_name_from_ramcirc():
     found = {p.name: lines for p in modules
              if (lines := _private_imports(p.read_text()))}
     assert found == {}
+
+
+def _module_level_mpmath(source: str) -> list[int]:
+    """Line numbers of imports of mpmath outside every function body."""
+    tree = ast.parse(source)
+    deferred = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in deferred:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.split(".")[0] == "mpmath" for n in names):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_detects_each_module_level_mpmath_form():
+    for body in ("import mpmath as mp", "import mpmath", "from mpmath import mpf",
+                 "import math, mpmath.libmp"):
+        assert _module_level_mpmath(f"import math\n{body}\n") == [2], body
+    ## a conditional or class-body import still runs when the module loads
+    assert _module_level_mpmath("if True:\n    import mpmath\n") == [2]
+    assert _module_level_mpmath("class C:\n    import mpmath\n") == [2]
+    assert _module_level_mpmath("import math\ndef f():\n    import mpmath as mp\n"
+                                "    return mp.mpf(1)\n") == []
+
+
+def test_no_module_imports_mpmath_at_module_level():
+    src = Path(ramcirc.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    found = {p.name: lines for p in modules
+             if (lines := _module_level_mpmath(p.read_text()))}
+    assert found == {}
+
+
+def test_a_tie_proved_in_doubles_never_loads_mpmath():
+    ## Z_3 x Z_3 climbs through exact ties up to |G| - 2 = 7
+    code = ("import sys\n"
+            "import ramcirc.cli\n"
+            "from ramcirc.abelian import AbelianGroup, abelian_oracle\n"
+            "assert abelian_oracle(AbelianGroup((3, 3))) == 7\n"
+            "print('mpmath' in sys.modules)\n")
+    src = str(Path(ramcirc.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scan_reference
-from ramcirc import oracle, precision
+from ramcirc import oracle, precision, spectra
 from ramcirc.abelian import AbelianGroup, abelian_oracle
 from ramcirc.bounds import trivial_bound
 from ramcirc.classify import classify
@@ -191,29 +191,46 @@ class TestRowRoute:
 
     @pytest.fixture(scope="class")
     def decided(self):
-        """class_clean on every class of at most 2e5 sets, and the classes
-        it handed to enumerate_class, in call order."""
+        """class_clean on every class of at most 2e5 sets, the classes it
+        handed to enumerate_class, in call order, and every decision made
+        on a row extreme or on an enumerated set."""
         cases = [(g, l) for g in self.GROUPS for l in range(1, _order(g) - 1, 2)
                  if math.comb((_order(g) - 1) // 2, (l - 1) // 2) <= 2 * 10**5]
-        enumerated = []
+        enumerated, decisions = [], []
+
+        def recording(real):
+            return lambda *args, **kwargs: decisions.append(
+                real(*args, **kwargs)) or decisions[-1]
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "enumerate_class", _recording(enumerated))
+            patch.setattr(precision, "decide", recording(precision.decide))
+            patch.setattr(spectra, "decide", recording(spectra.decide))
             got = [oracle.class_clean(g, l, 10**6) for g, l in cases]
-        return cases, got, enumerated
+        return cases, got, enumerated, decisions
 
     def test_rows_decide_every_class_as_the_scan(self, decided):
-        cases, got, _ = decided
+        cases, got, _, _ = decided
         assert len(cases) == 297
         assert got == [_scan_clean(g, l, 10**6) for g, l in cases]
 
     def test_enumeration_decides_four_clean_classes(self, decided):
         ## only where generation binds and no violating row's extreme set
         ## generates does class_clean enumerate; each such class is clean
-        cases, got, enumerated = decided
+        cases, got, enumerated, _ = decided
         assert enumerated == [((5, 5), 21), ((3, 3, 3), 19), ((3, 3, 3), 21),
                               ((3, 3, 3), 23)]
         clean = {(group_orders(g), l): c for (g, l), c in zip(cases, got)}
         assert [clean[c] for c in enumerated] == [True] * 4
+
+    def test_every_tie_is_proved_without_mpmath(self, decided):
+        ## the escalated decisions of these classes are exact ties, such as
+        ## mu = rb = 2 at l = |G| - 2; each is proved from its conjugates,
+        ## so none takes an mpmath pass, let alone climbs to MAX_DIGITS
+        decisions = decided[3]
+        escalated = [d for d in decisions if d.escalated]
+        assert escalated and all(d.tie_proved for d in escalated)
+        assert all(d.digits is None for d in decisions)
 
     def test_class_clean_rejects_invalid_input(self):
         cases = [(AbelianGroup((3, 3)), l) for l in (0, -1, 8, 9)]

@@ -9,8 +9,10 @@ import mpmath as mp
 import pytest
 
 from ramcirc import golden, oracle, precision
+from ramcirc.abelian import AbelianGroup, abelian_oracle
 from ramcirc.bounds import window_margin
 from ramcirc.classify import classify, scan_range
+from ramcirc.errors import InternalInvariantError
 from ramcirc.oracle import hat_l_exhaustive
 from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, MAX_DIGITS, decide, start_digits
 
@@ -53,6 +55,31 @@ class TestDecide:
         ## a +0.0, not the -0.0 that the float of the negative margin gives
         assert math.copysign(1.0, d.margin) == 1.0
 
+    def test_tie_is_asked_only_after_the_doubles(self):
+        d = decide(15, 9, lambda: 4.5, lambda digits: pytest.fail("escalated"),
+                   tie=lambda: pytest.fail("tie asked"))
+        assert d.is_ramanujan is False and not d.tie_proved
+
+    def test_proved_tie_skips_mpmath(self):
+        d = decide(15, 9, lambda: 2 * math.sqrt(5),
+                   lambda digits: pytest.fail("mpmath pass"), tie=lambda: True)
+        assert d.is_ramanujan and d.tie_proved and d.escalated
+        assert d.margin == 0.0 and math.copysign(1.0, d.margin) == 1.0
+        assert d.mu_max == d.rb == 2 * math.sqrt(5) and d.digits is None
+
+    def test_unproved_tie_takes_the_mpmath_route(self):
+        d = decide(15, 9, lambda: 2 * math.sqrt(5),
+                   lambda digits: 2 * mp.sqrt(5) + mp.mpf(10) ** (12 - digits),
+                   tie=lambda: None)
+        assert d.escalated and not d.resolved and d.digits == MAX_DIGITS
+        assert d.margin == 0.0 and d.is_ramanujan and not d.tie_proved
+
+    def test_unresolved_margin_proved_nonzero_is_an_error(self):
+        with pytest.raises(InternalInvariantError):
+            decide(15, 9, lambda: 2 * math.sqrt(5),
+                   lambda digits: 2 * mp.sqrt(5) + mp.mpf(10) ** (12 - digits),
+                   tie=lambda: False)
+
     def test_doubles_are_skipped_above_the_threshold(self):
         m = AUTO_EXTENDED_THRESHOLD + 1
 
@@ -79,6 +106,30 @@ class TestForcedEscalation:
         for m, want in zip(range(3, 30, 2), plain):
             assert hat_l_exhaustive(m) == want, m
 
+    def test_ties_are_proved_exactly_where_refinement_ends_unresolved(
+            self, monkeypatch):
+        ## every row extreme of these climbs goes through decide; each is
+        ## decided once with its tie certificate and once without
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", FORCED)
+        pairs, real_decide = [], precision.decide
+
+        def decide_both(*args, tie=None):
+            pairs.append((real_decide(*args), real_decide(*args, tie=tie)))
+            return pairs[-1][1]
+
+        monkeypatch.setattr(precision, "decide", decide_both)
+        for m in range(3, 82, 2):
+            hat_l_exhaustive(m)
+        for orders in ((3, 3), (5, 5), (3, 9), (3, 3, 3), (3, 15), (7, 7),
+                       *((m,) for m in range(3, 50, 2))):
+            abelian_oracle(AbelianGroup(orders))
+        assert len(pairs) == 834
+        assert [d.tie_proved for _, d in pairs] == [not t.resolved for t, _ in pairs]
+        assert sum(d.tie_proved for _, d in pairs) == 6
+        ## a margin proved nonzero is refined exactly as without the proof
+        assert all(d == t if t.resolved else d.is_ramanujan == t.is_ramanujan
+                   for t, d in pairs)
+
     def test_one_constant_widens_every_window(self, monkeypatch):
         ## decide, the batched scan and the oracle's row extremes all read
         ## precision.ESCALATION_MARGIN, so patching it alone forces each
@@ -103,8 +154,8 @@ class TestForcedEscalation:
                 rows.append(len(block[0]))
                 yield block
 
-        def decide_row(*args):
-            decisions.append(real_decide(*args))
+        def decide_row(*args, **kwargs):
+            decisions.append(real_decide(*args, **kwargs))
             return decisions[-1]
 
         def class_clean(group, l, budget):

@@ -19,6 +19,7 @@ from ramcirc.spectra import (
     pair_characters,
     phase_blocks,
     phase_table,
+    proves_tie,
     ramanujan_bound,
     spectrum,
     window_complement,
@@ -145,6 +146,54 @@ class TestPhaseKernel:
             for row in K[::max(1, len(K) // 25)]:
                 assert float(mp_abs_mu(row.tolist(), L)) == pytest.approx(
                     abs(1.0 + cos2(L, row).sum()), abs=1e-12)
+
+
+class TestProvesTie:
+    def test_every_unit_class_is_checked(self):
+        ## L = 5, valency 1: alpha_u = (1 + 2cos(2*pi*u*a/5))**2.  Phases [2]
+        ## give |alpha_1| ~ 0.382 < 1/2 but |alpha_2| ~ 2.618, and phases [1]
+        ## the two swapped; neither is a tie, so a check that drops either
+        ## unit class calls one of them a tie
+        def alpha(a, u):
+            return (1 + 2 * math.cos(2 * math.pi * u * a / 5)) ** 2
+
+        assert alpha(2, 1) < 0.5 < alpha(2, 2)
+        assert alpha(1, 2) < 0.5 < alpha(1, 1)
+        assert proves_tie([2], 5, 1) is False
+        assert proves_tie([1], 5, 1) is False
+
+    def test_rational_and_irrational_ties(self):
+        ## L = 3: 1 + 3 * 2cos(2*pi/3) = -2 = -2*sqrt(2 - 1)
+        assert proves_tie([1, 1, 1], 3, 2) is True
+        ## L = 5: 1 + 2 + 5 * 2cos(2*pi/5) + 2cos(4*pi/5) = 2*sqrt(5)
+        tie = [0, 1, 1, 1, 1, 1, 2]
+        assert proves_tie(tie, 5, 6) is True
+        assert proves_tie(tie, 5, 5) is False and proves_tie(tie, 5, 7) is False
+
+    def test_rows_are_combined(self):
+        tie, miss = [1, 1, 1], [0, 1, 1]
+        assert proves_tie([tie, tie], 3, 2) is True
+        assert proves_tie([miss, miss], 3, 2) is False
+        assert proves_tie([tie, miss], 3, 2) is None
+        assert proves_tie(np.empty((1, 0), dtype=np.int64), 3, 2) is False
+
+    def test_refuses_what_doubles_cannot_prove(self):
+        assert proves_tie([1], 2**31 + 11, 2) is None
+        ## 10**9 + 7 is prime: 5e8 units, over DEFAULT_BUDGET
+        assert proves_tie([1], 10**9 + 7, 2) is None
+        assert proves_tie([1], 7, 10**13) is None
+
+    @given(st.integers(3, 60), st.lists(st.integers(0, 59), max_size=8))
+    def test_matches_the_margin_in_mpmath(self, L, phases):
+        ## the valency nearest a tie: alpha = mu**2 - 4*(k - 1) is small.  A
+        ## nonzero alpha has |alpha| > 1e-80 here: its norm is at least 1,
+        ## and its other < 29 conjugates are below 600 in size
+        phases = [k % L for k in phases]
+        mu = abs(1.0 + cos2(L, np.array(phases)).sum())
+        valency = max(1, round(mu * mu / 4) + 1)
+        with mp.workdps(120):
+            exact = mp_abs_mu(phases, L) ** 2 - 4 * (valency - 1)
+            assert proves_tie(phases, L, valency) is (abs(exact) < mp.mpf(10) ** -100)
 
 
 class TestWindowEigenvalue:
