@@ -10,8 +10,9 @@ primes do.  Z_3 x Z_3 has every class Ramanujan (the classes above
 covalency 5 are empty once connectivity is enforced), Z_p x Z_p gains
 one extra step for p in {7, 11, 13, 17} and two for p = 5, and every
 other non-cyclic group is ordinary with hat_l = l0.  abelian_oracle
-checks this on a group of any order with ramcirc.oracle.class_clean,
-which reads each class maximum off the sorted rows of the pair table.
+checks this on a group of any order with ramcirc.oracle.climb, which
+reads each class maximum off one sorted row of the pair table per
+nontrivial cyclic subgroup.
 
 Cayley sets, spectra and the Ramanujan predicate are ramcirc.spectra's,
 whose CayleySet takes an AbelianGroup; abelian_is_ramanujan is
@@ -200,11 +201,14 @@ def abelian_hat_l(group: AbelianGroup) -> AbelianVerdict:
 def abelian_oracle(group: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Exact hat_l by deciding every class above l0 with oracle.class_clean.
 
-    Classes of covalency at most l0 are Ramanujan outright, so the climb
-    starts at l0 + 2 and runs up to |G| - 2, stopping at the first class
-    containing a valid (connected) violator; a class left empty by the
-    connectivity requirement passes vacuously.  A pair table of more than
-    budget entries, or a class of more than budget sets where class_clean
-    falls back to oracle.enumerate_class, raises BudgetExceededError.
+    Classes of covalency at most l0 are Ramanujan outright, so
+    oracle.climb starts at l0 + 2 and runs up to |G| - 2, stopping at the
+    first class containing a valid (connected) violator; a class left
+    empty by the connectivity requirement passes vacuously.  Every class
+    reads one oracle.row_table, a sorted row of h = (|G| - 1)/2 entries
+    per nontrivial cyclic subgroup (p + 1 rows on Z_p x Z_p).  A table
+    of more than budget entries, or a class of more than budget sets
+    where class_clean falls back to oracle.enumerate_class, raises
+    BudgetExceededError.
     """
-    return climb(group.order, group.order - 2, lambda l: class_clean(group, l, budget))
+    return climb(group, group.order - 2, budget, class_clean)

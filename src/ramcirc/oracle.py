@@ -1,4 +1,5 @@
-"""Exhaustive verification of edge-removal bounds, one table row per character.
+"""Exhaustive verification of edge-removal bounds, one sorted row per
+cyclic subgroup of the character group.
 
 A complement class is the set of all negation-closed complements of odd
 size l = 2r + 1 containing the identity, on any odd abelian group given
@@ -10,19 +11,26 @@ pairs T leaves the character chi the eigenvalue
 which is linear in T, and chi and -chi agree on a symmetric set.  So
 over the class, |mu_chi| is largest at the r largest or the r smallest
 entries of chi's row of the pair table, and the class maximum is the
-largest of those row extremes: one sorted row per pair character
-instead of C(h, r) sets, h = (|G| - 1)/2.  A kept set in a proper
-subgroup lies in a character kernel, so T holds every pair outside it,
-at least |G|/3 pairs; below r = |G|/3 every set of the class generates
-G and the row maximum is the class maximum.  The budget is charged for
-the h^2 table entries, built in blocks of rows; the rows, their cosines
-and their mpmath sums are spectra's phase_blocks, cos2 and mp_abs_mu,
-the same kernel every eigenvalue of the package reads.
+largest of those row extremes instead of C(h, r) sets, h = (|G| - 1)/2.
+A unit u of Z_L permutes the pairs, <u chi, b> = <chi, u b>, so the
+rows of chi and u chi hold one multiset and give the same extremes bit
+for bit; the units carry chi onto every generator of <chi>, so one row
+per nontrivial cyclic subgroup decides every class.  orbit_representatives
+picks the first character of each orbit in product order: the d(m) - 1
+proper divisors of m on Z_m, p + 1 characters on Z_p x Z_p.  row_table
+sorts those rows once per climb, keeping the smallest and the largest
+phases its classes can read, and the budget is charged for the rows x h
+table entries, built in blocks of at most spectra.BLOCK entries.  A kept
+set in a proper subgroup lies in a character kernel, so T holds every
+pair outside it, at least |G|/3 pairs; below r = |G|/3 every set of the
+class generates G and the row maximum is the class maximum.  The rows,
+their cosines and their mpmath sums are spectra's phase_blocks, cos2
+and mp_abs_mu, the same kernel every eigenvalue of the package reads.
 
 enumerate_class is the fallback for the classes where generation can
 bind and no violating row's extreme set generates (none of those that
-hat_l_exhaustive climbs for odd m <= 3001, or abelian_oracle for the odd
-groups of order at most 1001).  It combines the removed pairs in
+hat_l_exhaustive climbs, or abelian_oracle for the odd groups of order
+at most 1001).  It combines the removed pairs in
 lexicographic order and keeps each set that spectra.CayleySet accepts,
 and the fallback decides each by spectra.is_ramanujan or
 spectra.spectrum: the package has one generation rule and one Ramanujan
@@ -46,7 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +70,7 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
 )
 from .numtheory import least_prime_split
 from .spectra import (
+    BLOCK,
     TIE_SLACK,
     CayleySet,
     check_covalency,
@@ -69,6 +79,7 @@ from .spectra import (
     group_orders,
     is_ramanujan,
     mp_abs_mu,
+    pair_blocks,
     pair_characters,
     phase_blocks,
     proves_tie,
@@ -78,58 +89,151 @@ from .spectra import (
 )
 
 
-def _row_extremes(orders: tuple[int, ...], r: int, budget: int):
-    """Yield (K, absmax, from_top) over blocks of consecutive pair characters.
+def orbit_representatives(orders: tuple[int, ...]) -> np.ndarray:
+    """The first character in product order of each orbit of the units of
+    Z_L on the nonzero characters, L the exponent; in product order.
 
-    K holds the block's rows of the pair table from spectra.phase_blocks:
-    phases against every pair in the order of spectra.pair_characters,
-    folded to min(k, L - k).  With top and bottom the sums of the r
-    largest and the r smallest entries spectra.cos2 of a row, absmax is
-    max(1 + top, -1 - bottom), the row's largest |mu| over the class,
-    and from_top whether 1 + top attains it.  The cosine falls as a
-    folded phase grows, so both sums are read off the sorted phases, and
-    rows with one multiset of phases (a unit orbit) give the same bits.
-    The budget is charged for the h^2 table entries, h the number of
-    pairs.
+    The orbit of chi is the set of generators of <chi>.  A unit keeps the
+    place of chi's first nonzero coordinate c and carries c onto the
+    nonzero multiples of gcd(c, n) in Z_n, n that coordinate's invariant
+    factor; so a representative has c | n, which on Z_m leaves exactly
+    the proper divisors of m.  On a group of rank >= 2 a candidate is a
+    representative when no unit carries it to an earlier element.  That
+    is checked on batches of the candidates not yet reached, in product
+    order, at most spectra.BLOCK image coordinates a batch (or one
+    candidate's orbit), and the orbits of the representatives a batch
+    finds are struck from the later batches.
+    """
+    if len(orders) == 1:
+        return np.concatenate([E[orders[0] % E[:, 0] == 0] for E in pair_blocks(orders)])
+    n = np.array(orders)
+    candidates = []
+    for E in pair_blocks(orders):
+        lead = (E != 0).argmax(axis=1)
+        candidates.append(E[n[lead] % E[np.arange(len(E)), lead] == 0])
+    C = np.concatenate(candidates)
+    L = orders[-1]
+    units = np.flatnonzero(np.gcd(np.arange(L), L) == 1)
+    flat, left = np.ravel_multi_index(C.T, orders), np.ones(len(C), dtype=bool)
+    batch = max(1, BLOCK // (len(units) * len(orders)))
+    reps = []
+    while True:
+        idx = np.flatnonzero(left)
+        images = np.ravel_multi_index(
+            np.moveaxis((units[:, None, None] * C[idx[:batch]]) % n, -1, 0), orders)
+        own = images.min(axis=0) == flat[idx[:batch]]
+        reps.append(idx[:batch][own])
+        if len(idx) <= batch:
+            return C[np.concatenate(reps)]
+        image = images[:, own].ravel()
+        at = np.minimum(np.searchsorted(flat, image), len(flat) - 1)
+        left[at[flat[at] == image]] = False
+
+
+class RowTable(NamedTuple):
+    """The rows of the pair table for orbit_representatives, each sorted.
+
+    sides[i] holds the folded phases of chars[i] against every pair of
+    spectra.pair_characters, ascending: all h of them, or the r_max
+    smallest followed by the r_max largest when that is fewer.  So for
+    r <= r_max its first r entries are the row's r smallest and its last
+    r the r largest.  cos is spectra.cos2 of every folded phase.
+    """
+
+    orders: tuple[int, ...]
+    chars: np.ndarray
+    sides: np.ndarray
+    r_max: int
+    cos: np.ndarray
+
+    def extremes(self, r: int):
+        """(absmax, from_top) of every row over the class of r removed pairs.
+
+        With top and bottom the sums of the r largest and the r smallest
+        cosines of a row, absmax is max(1 + top, -1 - bottom), the row's
+        largest |mu| over the class, and from_top whether 1 + top attains
+        it.  The cosine falls as a folded phase grows, so both are sums
+        over the ends of the sorted phases.
+        """
+        if r > self.r_max:
+            raise ValidationError(
+                f"the table serves up to {self.r_max} removed pairs, not {r}")
+        S = self.sides
+        top = 1.0 + self.cos[S[:, :r]].sum(axis=1)
+        bottom = -(1.0 + self.cos[S[:, S.shape[1] - r:]].sum(axis=1))
+        return np.maximum(top, bottom), top >= bottom
+
+    def row_sides(self, i: int, r: int) -> np.ndarray:
+        """The r smallest and the r largest phases of row i, as two rows:
+        the sets of the class whose |mu| can be the row's absmax."""
+        s = self.sides[i].astype(np.int64)
+        return np.stack([s[:r], s[len(s) - r:]])
+
+    def extreme_pairs(self, i: int, r: int, from_top: bool) -> np.ndarray:
+        """The pairs of the r smallest (from_top) or the r largest phases of
+        row i, ties in index order, read from the row rebuilt in blocks."""
+        if r == 0:
+            return self.chars[:0]
+        s = self.sides[i]
+        t = int(s[r - 1] if from_top else s[len(s) - r])
+        need = r - np.count_nonzero(s[:r] < t if from_top else s[len(s) - r:] > t)
+        picked = []
+        for cols in pair_blocks(self.orders):
+            k = next(phase_blocks(self.orders, self.chars[i:i + 1], cols))[0]
+            picked.append(cols[k < t if from_top else k > t])
+            picked.append(cols[k == t][:need])
+            need -= len(picked[-1])
+        return np.concatenate(picked)
+
+
+def row_table(orders: tuple[int, ...], r_max: int, budget: int) -> RowTable:
+    """The RowTable of the group for classes of up to r_max removed pairs.
+
+    The budget is charged for the table's rows x h entries, which are
+    built in blocks of at most spectra.BLOCK entries; the sorted sides
+    kept are at most that many.  A table has at least one row on Z_m,
+    and at least n + 1 on a group of rank >= 2, n = orders[-2]: the
+    cyclic subgroups <(1, x)> and <(0, 1)> of the Z_n x Z_n inside it.
+    A table whose least size already exceeds the budget is refused, with
+    that size, before its representatives are sought.
     """
     h, L = (math.prod(orders) - 1) // 2, orders[-1]
-    if h * h > budget:
-        raise BudgetExceededError(h * h, budget, "table entries")
-    R = pair_characters(orders)
-    table = cos2(L, np.arange(L // 2 + 1))
-    for K in phase_blocks(orders, R, R):
-        S = np.sort(K, axis=1)
-        top = 1.0 + table[S[:, :r]].sum(axis=1)
-        bottom = -(1.0 + table[S[:, h - r:]].sum(axis=1))
-        yield K, np.maximum(top, bottom), top >= bottom
+    least = h * (1 if len(orders) == 1 else orders[-2] + 1)
+    if least > budget:
+        raise BudgetExceededError(least, budget, "table entries")
+    chars = orbit_representatives(orders)
+    if len(chars) * h > budget:
+        raise BudgetExceededError(len(chars) * h, budget, "table entries")
+    w = min(h, r_max)
+    keep = h if 2 * w >= h else 2 * w
+    S = np.empty((len(chars), keep), dtype=np.min_scalar_type(L // 2))
+    width = 0
+    for cols in pair_blocks(orders):
+        lo = 0
+        for K in phase_blocks(orders, chars, cols):
+            hi = lo + len(K)
+            if width:
+                K = np.concatenate([S[lo:hi, :width], K], axis=1)
+            K.sort(axis=1)
+            if K.shape[1] > keep:
+                K = np.concatenate([K[:, :w], K[:, K.shape[1] - w:]], axis=1)
+            S[lo:hi, :K.shape[1]] = K
+            lo = hi
+        width = min(keep, width + len(cols))
+    return RowTable(orders, chars, S, h if keep == h else w,
+                    cos2(L, np.arange(L // 2 + 1)))
 
 
-def _sides(k: np.ndarray, r: int) -> np.ndarray:
-    """The r smallest and the r largest phases of the folded row k, as two
-    rows: the sets of the class whose |mu| can be the row's absmax."""
-    s = np.sort(k)
-    return np.stack([s[:r], s[len(s) - r:]])
+def _mp_row_max(sides: np.ndarray, L: int):
+    """The absmax of a row in mpmath, from the exact phases of its sides."""
+    return max(mp_abs_mu(side, L) for side in sides.tolist())
 
 
-def _mp_row_max(k: np.ndarray, r: int, L: int):
-    """The absmax of the folded row k in mpmath, from its exact phases."""
-    return max(mp_abs_mu(side, L) for side in _sides(k, r).tolist())
-
-
-def _row_tie(k: np.ndarray, r: int, L: int, valency: int) -> bool | None:
-    """spectra.proves_tie on the sides of the folded row k whose |mu| in
-    doubles is within spectra.TIE_SLACK of the row's absmax."""
-    sides = _sides(k, r)
+def _row_tie(sides: np.ndarray, L: int, valency: int) -> bool | None:
+    """spectra.proves_tie on the sides of a row whose |mu| in doubles is
+    within spectra.TIE_SLACK of the row's absmax."""
     mu = np.abs(1.0 + cos2(L, sides).sum(axis=1))
     return proves_tie(sides[mu >= mu.max() - TIE_SLACK], L, valency)
-
-
-def _extreme_reps(orders: tuple[int, ...], k: np.ndarray, r: int,
-                  from_top: bool) -> np.ndarray:
-    """The pairs of the r largest (from_top) or the r smallest entries of
-    the folded row k, ties in index order."""
-    order = np.argsort(k if from_top else -k, kind="stable")
-    return pair_characters(orders)[order[:r]]
 
 
 def class_size(m: int, l: int) -> int:
@@ -153,14 +257,15 @@ def _generates(group, reps: np.ndarray) -> bool:
     return True
 
 
-def class_clean(group, l: int, budget: int) -> bool:
+def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bool:
     """Whether no connected complement of covalency l breaks the bound.
 
-    group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
-    Every row extreme within precision.ESCALATION_MARGIN of
-    2*sqrt(|G| - l - 1), or past it, goes through precision.decide:
-    an exact tie is proved by _row_tie, and any other margin is refined
-    from the same r-sum of exact phases.  A
+    group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet,
+    and table a row_table of the group serving (l - 1)/2 removed pairs,
+    built here when not given.  Every row extreme within
+    precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1), or past it, goes
+    through precision.decide: an exact tie is proved by _row_tie, and
+    any other margin is refined from the same r-sum of exact phases.  A
     violating row ends the class when its extreme set generates G, as
     every set does for 3r < |G|; when no violating row's set generates,
     is_ramanujan decides each set of enumerate_class.  An empty class
@@ -169,32 +274,40 @@ def class_clean(group, l: int, budget: int) -> bool:
     orders = group_orders(group)
     n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
     check_covalency(n, l)
+    if table is None:
+        table = row_table(orders, r, budget)
     rb = 2.0 * math.sqrt(n - l - 1)
+    absmax, from_top = table.extremes(r)
     unsettled = False
-    for K, absmax, from_top in _row_extremes(orders, r, budget):
-        for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
-            k = K[i]
-            if precision.decide(n, l, lambda: float(absmax[i]),
-                                lambda _digits: _mp_row_max(k, r, L),
-                                tie=lambda: _row_tie(k, r, L, n - l)).is_ramanujan:
-                continue
-            if 3 * r < n or _generates(
-                    group, _extreme_reps(orders, k, r, from_top[i])):
-                return False
-            unsettled = True
+    for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
+        if precision.decide(n, l, lambda: float(absmax[i]),
+                            lambda _digits: _mp_row_max(table.row_sides(i, r), L),
+                            tie=lambda: _row_tie(table.row_sides(i, r), L, n - l)
+                            ).is_ramanujan:
+            continue
+        if 3 * r < n or _generates(group, table.extreme_pairs(i, r, from_top[i])):
+            return False
+        unsettled = True
     return not unsettled or all(is_ramanujan(s).is_ramanujan
                                 for s in enumerate_class(group, l, budget))
 
 
-def climb(m: int, l_max: int, clean) -> int:
-    """The largest l <= l_max with clean(l') for every l' in l0+2..l.
+def climb(group, l_max: int, budget: int, clean) -> int:
+    """The largest l <= l_max with a clean class at every l' in l0+2..l.
 
-    Classes up to l0 = trivial_bound(m) are Ramanujan outright, so the
-    climb starts at l0 + 2; it returns l0 when that class is not clean.
+    group is Z_m's modulus or an AbelianGroup.  Classes up to
+    l0 = trivial_bound(|G|) are Ramanujan outright, so the climb starts
+    at l0 + 2; it returns l0 when that class is not clean.  One
+    row_table, sorted for the largest class the climb can reach, serves
+    every class, and clean(group, l, budget, table) decides each.
     """
-    hat = trivial_bound(m)
-    for l in range(hat + 2, min(l_max, m - 2) + 1, 2):
-        if not clean(l):
+    orders = group_orders(group)
+    n = math.prod(orders)
+    hat = trivial_bound(n)
+    levels = range(hat + 2, min(l_max, n - 2) + 1, 2)
+    table = row_table(orders, (levels[-1] - 1) // 2, budget) if levels else None
+    for l in levels:
+        if not clean(group, l, budget, table):
             break
         hat = l
     return hat
@@ -239,22 +352,24 @@ class ClassMax:
 
 
 def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
-    """The class maximum from the rows of the pair table, and its witness.
+    """The class maximum from the representative rows, and its witness.
 
     The witness is the r pairs of the first row that attains the
     maximum, the largest or the smallest entries as the maximum takes
-    them, ties in index order.  Where that set does not generate Z_m,
-    which needs 3r >= m, the witness is instead the first set of
-    enumerate_class with the largest spectrum(s).mu_max.
+    them, ties in index order; a row shares its extreme with its whole
+    unit orbit, so that is the first such row of the full pair table.
+    Where that set does not generate Z_m, which needs 3r >= m, the
+    witness is instead the first set of enumerate_class with the largest
+    spectrum(s).mu_max.
     """
     check_covalency(m, l)
-    r, best = (l - 1) // 2, -math.inf
-    for K, absmax, from_top in _row_extremes((m,), r, budget):
-        i = int(np.argmax(absmax))
-        if absmax[i] > best:
-            best, k, side = float(absmax[i]), K[i], from_top[i]
+    r = (l - 1) // 2
+    table = row_table((m,), r, budget)
+    absmax, from_top = table.extremes(r)
+    i = int(np.argmax(absmax))
+    best = float(absmax[i])
     try:
-        witness = _cayley(m, _extreme_reps((m,), k, r, side))
+        witness = _cayley(m, table.extreme_pairs(i, r, from_top[i]))
     except ValidationError:
         witness = max(enumerate_class(m, l, budget), default=None,
                       key=lambda s: spectrum(s).mu_max)
@@ -264,9 +379,10 @@ def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     return ClassMax(m, l, best, ramanujan_bound(m, l), witness)
 
 
-def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET) -> bool:
+def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET,
+                        table: RowTable | None = None) -> bool:
     """class_clean on Z_m, with a default budget."""
-    return class_clean(m, l, budget)
+    return class_clean(m, l, budget, table)
 
 
 def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -275,12 +391,13 @@ def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET) -> int:
     For m <= 13 the classes from l0 + 2 up to m - 2 are climbed.  From
     m = 15 on, only l0 + 2 and l0 + 4 are decided; a clean l0 + 4 would
     contradict the window set breaking the bound there and is reported
-    as an internal error.
+    as an internal error.  The climb reads one row_table of d(m) - 1
+    sorted rows, so the budget is charged (d(m) - 1) * (m - 1)/2 table
+    entries, d(m) the number of divisors of m.
     """
     check_modulus(m)
     l0 = trivial_bound(m)
-    hat = climb(m, m - 2 if m <= 13 else l0 + 4,
-                lambda l: class_all_ramanujan(m, l, budget))
+    hat = climb(m, m - 2 if m <= 13 else l0 + 4, budget, class_all_ramanujan)
     if m >= 15 and hat == l0 + 4:
         raise InternalInvariantError(
             f"class at covalency l0+4 came out clean for m={m}")
@@ -319,14 +436,20 @@ def _unit_orbit_match(witness: CayleySet, target: CayleySet) -> bool:
 
     Multiplication by a unit permutes the characters, so orbit members
     are isospectral; the extremal witness is only ever pinned down up
-    to this action.
+    to this action.  Each block of units maps the whole complement at
+    once, and a sorted image row equal to the sorted target is a match.
     """
-    t = target.complement
-    m = witness.m
-    for u in range(1, m):
-        if gcd(u, m) != 1:
-            continue
-        if frozenset(u * x % m for x in witness.complement) == t:
+    if witness.complement == target.complement:
+        return True
+    m, t = witness.m, np.array(target.residues())
+    w = np.array(witness.residues())
+    if len(w) != len(t):
+        return False
+    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
+    step = max(1, BLOCK // len(w))
+    for lo in range(0, len(units), step):
+        images = np.sort((units[lo:lo + step, None] * w) % m, axis=1)
+        if (images == t).all(axis=1).any():
             return True
     return False
 

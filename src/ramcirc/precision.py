@@ -52,11 +52,12 @@ def mp_sinpi_frac(num: int, den: int):
     return mp.sinpi(mp.mpf(num % (2 * den)) / den)
 
 
-def refine_margin(margin_fn, digits: int, scale: float = 1.0):
+def refine_margin(margin_fn, digits: int, scale=1.0):
     """Evaluate margin_fn(digits) -> mpf at increasing precision.
 
     Starts at digits and doubles the working precision until the computed
-    margin clears the noise floor scale * 10**(12 - digits).  Returns
+    margin clears the noise floor scale * 10**(12 - digits), scale a float
+    or an mpf.  Returns
     (margin, digits, resolved); an unresolved margin after MAX_DIGITS is
     reported as a tie.
     """
@@ -120,8 +121,8 @@ def decide(m: int, l: int, mu_double, mu_mp, tie=None) -> RamanujanDecision:
         last["mu"], last["rb"] = mu_mp(digits), 2 * mp.sqrt(m - l - 1)
         return last["rb"] - last["mu"]
 
-    margin, digits, resolved = refine_margin(
-        margin_fn, start_digits(m), scale=max(1.0, math.sqrt(m)))
+    ## sqrt(m) in mpmath: a double overflows from m = 2**1024 on
+    margin, digits, resolved = refine_margin(margin_fn, start_digits(m), scale=mp.sqrt(m))
     if not resolved:
         if proved is False:
             raise InternalInvariantError(

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
     from .abelian import AbelianGroup
 
 ## entries of one block of a phase table held at once
-_BLOCK = 1 << 17
+BLOCK = 1 << 17
 
 ## rows whose |mu| in doubles lies this close to the largest may attain
 ## it: far above the doubles' error, and far below any gap between values
@@ -70,9 +70,26 @@ def pair_characters(orders: tuple[int, ...]) -> np.ndarray:
     """One character of each pair {chi, -chi} with chi != 0, the first in
     product order (on Z_m, the rows 1..(m-1)/2); both give one eigenvalue
     and one kernel, and no nonzero chi of an odd-order group is -chi."""
-    E = elements(orders)
-    negated = np.ravel_multi_index(((-E) % np.array(orders)).T, orders)
-    return E[np.arange(len(E)) < negated]
+    return np.concatenate(list(pair_blocks(orders)))
+
+
+def pair_blocks(orders: tuple[int, ...]):
+    """Yield pair_characters(orders) in consecutive blocks of at most BLOCK
+    characters: on Z_m the rows 1..(m-1)/2 directly, on a group of rank
+    >= 2 the first of each pair among BLOCK elements at a time."""
+    size = math.prod(orders)
+    if len(orders) == 1:
+        for lo in range(1, size // 2 + 1, BLOCK):
+            yield np.arange(lo, min(lo + BLOCK, size // 2 + 1))[:, None]
+        return
+    n = np.array(orders)
+    strides = np.array([math.prod(orders[k + 1:]) for k in range(len(orders))])
+    for lo in range(0, size, BLOCK):
+        flat = np.arange(lo, min(lo + BLOCK, size))
+        E = flat[:, None] // strides % n
+        E = E[flat < (-E % n) @ strides]
+        if len(E):
+            yield E
 
 
 def phase_table(orders: tuple[int, ...], chars: np.ndarray,
@@ -85,10 +102,10 @@ def phase_table(orders: tuple[int, ...], chars: np.ndarray,
 
 def phase_blocks(orders: tuple[int, ...], chars: np.ndarray, cols: np.ndarray):
     """Yield phase_table(orders, chars, cols) in blocks of consecutive
-    characters of at most _BLOCK entries, each phase k folded to
+    characters of at most BLOCK entries, each phase k folded to
     min(k, L - k), L the exponent."""
     L = orders[-1]
-    rows = max(1, _BLOCK // max(1, len(cols)))
+    rows = max(1, BLOCK // max(1, len(cols)))
     for lo in range(0, len(chars), rows):
         K = phase_table(orders, chars[lo:lo + rows], cols)
         yield np.minimum(K, L - K)
@@ -143,7 +160,7 @@ def proves_tie(phases, L: int, valency: int) -> bool | None:
             or units * K.size > DEFAULT_BUDGET):
         return None
     nonzero = np.zeros(len(K), dtype=bool)
-    step = max(1, _BLOCK // max(1, K.size))
+    step = max(1, BLOCK // max(1, K.size))
     for lo in range(1, L // 2 + 1, step):
         u = np.arange(lo, min(lo + step, L // 2 + 1))
         P = (u[np.gcd(u, L) == 1][:, None, None] * K) % L

@@ -69,6 +69,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "8")
         assert code == 2 and "error:" in err
 
+    def test_order_past_the_double_range(self, capsys):
+        ## sqrt(m) of the noise floor no longer goes through a double,
+        ## which overflows from m = 2**1024 on
+        code, out, err = run(capsys, "classify", str(10**309 + 1))
+        assert code == 0 and "Traceback" not in err
+        assert "verdict = ordinary" in out
+
 
 class TestHatl:
     def test_plain(self, capsys):
@@ -80,6 +87,13 @@ class TestHatl:
         code, out, _ = run(capsys, "hatl", "15", "--oracle")
         assert code == 0
         assert "oracle: 7  (agree)" in out
+
+    def test_oracle_past_20003(self, capsys):
+        ## 100003 is prime: one row of 50001 pairs, where the h^2 pair
+        ## table would have held 2.5e9 entries
+        code, out, err = run(capsys, "hatl", "100003", "--oracle")
+        assert code == 0 and "Traceback" not in err
+        assert "oracle: 629  (agree)" in out
 
     def test_oracle_json(self, capsys):
         code, out, _ = run(capsys, "--json", "hatl", "21", "--oracle")
@@ -327,7 +341,7 @@ class TestAbelian:
         assert "Traceback" not in err
 
     def test_oracle_decides_11x11(self, capsys):
-        ## its l0 + 2 class holds 7.5e10 sets; its pair table, 3600 entries
+        ## its l0 + 2 class holds 7.5e10 sets; its table, 12 x 60 entries
         code, out, err = run(capsys, "abelian", "--orders", "11,11", "--oracle")
         assert code == 0
         assert "oracle: 21  (agree)" in out
@@ -337,7 +351,8 @@ class TestAbelian:
         code, _, err = run(capsys, "abelian", "--orders", "11,11", "--oracle",
                            "--budget", "10")
         assert code == 2
-        assert "error: enumeration needs 3600 table entries, budget is 10" in err
+        ## one sorted row per cyclic subgroup: p + 1 = 12 rows of h = 60 pairs
+        assert "error: enumeration needs 720 table entries, budget is 10" in err
         assert "Traceback" not in err
 
     def test_rejects_even_orders(self, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,90 @@ class TestBorderRows:
         assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
 
 
+def _odd_abelian_groups(limit):
+    """Every odd abelian group of order at most limit, as its chain of
+    invariant factors, cyclic ones included."""
+    def chains(chain, order):
+        yield tuple(chain)
+        for b in range(chain[-1], limit // order + 1, 2 * chain[-1]):
+            yield from chains(chain + [b], order * b)
+
+    return [c for a in range(3, limit + 1, 2) for c in chains([a], a)]
+
+
+def _orbit_minima(orders):
+    """The least element in product order of u * chi over every unit u of
+    Z_L, for every nonzero chi, by brute force."""
+    n, L = np.array(orders), orders[-1]
+    E = np.indices(orders).reshape(len(orders), -1).T[1:]
+    units = [u for u in range(1, L) if math.gcd(u, L) == 1]
+    flat = np.stack([np.ravel_multi_index(((u * E) % n).T, orders) for u in units])
+    return np.stack(np.unravel_index(np.unique(flat.min(axis=0)), orders), axis=1)
+
+
+class TestRowTable:
+    def test_representatives_are_the_orbit_minima(self):
+        groups = _odd_abelian_groups(400)
+        assert len(groups) == 255
+        for orders in groups:
+            got = oracle.orbit_representatives(orders)
+            assert np.array_equal(got, _orbit_minima(orders)), orders
+        ## one row per nontrivial cyclic subgroup: a proper divisor of m
+        ## on Z_m, p + 1 lines through the identity on Z_p x Z_p
+        assert oracle.orbit_representatives((45,)).ravel().tolist() == [1, 3, 5, 9, 15]
+        for p in (3, 5, 7, 11, 13):
+            assert len(oracle.orbit_representatives((p, p))) == p + 1
+
+    def test_blocks_merge_into_the_sorted_ends(self, monkeypatch):
+        ## with blocks of 8 entries the rows are built a few pairs at a
+        ## time and merged; the ends kept and the extreme pairs must match
+        ## the whole rows, sorted and argsorted
+        cases = [((45,), 4), ((45,), 11), ((101,), 6), ((5, 5), 3),
+                 ((3, 9), 13), ((3, 3, 3), 2)]
+        for orders, r_max in cases:
+            want = oracle.row_table(orders, r_max, 10**6)
+            monkeypatch.setattr(spectra, "BLOCK", 8)
+            got = oracle.row_table(orders, r_max, 10**6)
+            monkeypatch.undo()
+            assert np.array_equal(got.sides, want.sides), orders
+            R, L = pair_characters(orders), orders[-1]
+            K = spectra.phase_table(orders, got.chars, R)
+            K = np.minimum(K, L - K)
+            w = min(r_max, len(R))
+            S = np.sort(K, axis=1)
+            if got.sides.shape[1] < len(R):
+                S = np.concatenate([S[:, :w], S[:, len(R) - w:]], axis=1)
+            assert np.array_equal(got.sides, S), orders
+            for r in range(w + 1):
+                for i, k in enumerate(K):
+                    for from_top in (True, False):
+                        order = np.argsort(k if from_top else -k, kind="stable")
+                        pairs = got.extreme_pairs(i, r, from_top)
+                        assert {tuple(x) for x in pairs.tolist()} == {
+                            tuple(x) for x in R[order[:r]].tolist()}, (orders, r, i)
+            with pytest.raises(ValidationError):
+                got.extremes(got.r_max + 1)
+
+    def test_huge_groups_are_refused_before_any_row(self):
+        ## every table has at least h entries on Z_m, and (n + 1) h on a
+        ## group whose second-to-last invariant factor is n
+        tracemalloc.start()
+        try:
+            for orders, least in (((10**12 + 1,), 5 * 10**11),
+                                  ((30001, 30001), 30002 * (30001**2 - 1) // 2)):
+                with pytest.raises(BudgetExceededError) as e:
+                    oracle.row_table(orders, 10, 10**8)
+                assert e.value.required == least
+            with pytest.raises(BudgetExceededError):
+                hat_l_exhaustive(10**12 + 1)
+            with pytest.raises(BudgetExceededError):
+                abelian_oracle(AbelianGroup((30001, 30001)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestRowRoute:
     ## Z_m for odd m <= 45, and the non-cyclic groups of order at most 45
     GROUPS = list(range(3, 46, 2)) + [
@@ -254,12 +339,16 @@ class TestRowRoute:
             assert hat_l_exhaustive(m) == classify(m).hat_l, m
 
     def test_table_budget(self):
-        ## the budget counts the h^2 entries of the pair table
-        assert class_max(101, 21, budget=50 * 50).mu > 0
-        with pytest.raises(BudgetExceededError) as e:
-            class_max(101, 21, budget=50 * 50 - 1)
-        assert (e.value.required, e.value.budget) == (2500, 2499)
-        assert "table entries" in str(e.value)
+        ## the budget counts rows x h entries: one row per proper divisor,
+        ## 1 x 50 on the prime 101 and 7 x 52 on 105 = 3 * 5 * 7
+        for m, rows in ((101, 1), (105, 7)):
+            entries = rows * (m - 1) // 2
+            assert len(oracle.orbit_representatives((m,))) == rows
+            assert class_max(m, 21, budget=entries).mu > 0
+            with pytest.raises(BudgetExceededError) as e:
+                class_max(m, 21, budget=entries - 1)
+            assert (e.value.required, e.value.budget) == (entries, entries - 1)
+            assert "table entries" in str(e.value)
 
 
 class TestRowsMatchTheScan:
@@ -275,6 +364,7 @@ class TestRowsMatchTheScan:
                 assert got.witness.covalency == l
                 assert spectrum(got.witness).mu_max == pytest.approx(got.mu, abs=1e-12)
                 assert oracle._unit_orbit_match(got.witness, want.witness), (m, l)
+                assert _unit_orbit_match_loop(got.witness, want.witness), (m, l)
                 assert oracle.class_clean(m, l, 10**8) == (want.mu <= want.rb)
 
     def test_class_max_where_generation_can_bind(self, monkeypatch):
@@ -316,14 +406,21 @@ class TestRowsMatchTheScan:
                 if 3 * ((l - 1) // 2) >= n:
                     continue
                 ## every set generates here, so the row maximum is the scan's
-                rows = max(absmax.max() for _, absmax, _ in
-                           oracle._row_extremes(orders, (l - 1) // 2, 10**8))
+                r = (l - 1) // 2
+                rows = oracle.row_table(orders, r, 10**8).extremes(r)[0].max()
                 scan = max(a.max() for _, a in scan_class(orders, l))
                 assert rows == pytest.approx(scan, abs=1e-12), (orders, l)
 
 
 def _order(group):
     return math.prod(group_orders(group))
+
+
+def _unit_orbit_match_loop(witness, target):
+    """oracle._unit_orbit_match as a plain loop over the units."""
+    m = witness.m
+    return any(frozenset(u * x % m for x in witness.complement) == target.complement
+               for u in range(1, m) if math.gcd(u, m) == 1)
 
 
 def _recording(calls):
@@ -382,9 +479,19 @@ class TestHatL:
         for m in range(57, 82, 2):
             assert hat_l_exhaustive(m) == classify(m).hat_l, m
 
+    def test_answers_past_20003_under_the_default_budget(self):
+        ## the h^2 pair table refused every odd m >= 20003; the rows of
+        ## 20003 = 83 * 241 are 1, 83 and 241, 3 x 10001 entries, and the
+        ## exceptional 20011 is prime
+        for m in (19457, 20003, 20011):
+            assert hat_l_exhaustive(m) == classify(m).hat_l, m
+        with pytest.raises(BudgetExceededError) as e:
+            hat_l_exhaustive(20003, budget=3 * 10001 - 1)
+        assert e.value.required == 3 * 10001
+
     @pytest.mark.slow
-    def test_agrees_with_classifier_to_3001(self):
-        for m in range(3, 3002, 2):
+    def test_agrees_with_classifier_to_30001(self):
+        for m in range(3, 30002, 2):
             assert hat_l_exhaustive(m) == classify(m).hat_l, m
 
 
@@ -412,6 +519,26 @@ class TestCrosscheck:
         r = semiprime_crosscheck(65)
         assert r.agrees
         assert r.delta <= 1e-9
+
+    def test_family_match_equals_the_unit_loop(self):
+        answers = []
+        for m in (15, 21, 35, 55, 65, 77, 91, 143, 187, 221):
+            r = semiprime_crosscheck(m)
+            families = {"window": window_complement(m, r.l),
+                        "p_multiples": oracle._packed_complement(m, r.p, r.l),
+                        "q_multiples": oracle._packed_complement(m, r.q, r.l)}
+            for name, s in families.items():
+                ## the family against the witness, and against its own image
+                ## under the unit 2
+                twice = CayleySet.from_residues(m, [2 * x for x in s.complement])
+                for a, b in ((r.witness, s), (twice, s)):
+                    got = oracle._unit_orbit_match(a, b)
+                    assert got == _unit_orbit_match_loop(a, b), (m, name)
+                    answers.append((got, a == b))
+            assert r.family == next((name for name, s in families.items()
+                                     if _unit_orbit_match_loop(r.witness, s)), None)
+        ## matches through the identity and through other units, and misses
+        assert {(True, True), (True, False), (False, False)} <= set(answers)
 
 
 class TestWitnessSpectra:

@@ -6,15 +6,17 @@ import re
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from ramcirc import golden, oracle, precision
+from ramcirc import abelian, golden, oracle, precision
 from ramcirc.abelian import AbelianGroup, abelian_oracle
 from ramcirc.bounds import window_margin
 from ramcirc.classify import classify, scan_range
 from ramcirc.errors import InternalInvariantError
 from ramcirc.oracle import hat_l_exhaustive
 from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, MAX_DIGITS, decide, start_digits
+from ramcirc.spectra import cos2, group_orders, mp_abs_mu, pair_characters, phase_table
 
 ## every comparison is inside this escalation window, so every decision
 ## takes the mpmath route
@@ -111,24 +113,40 @@ class TestForcedEscalation:
         ## every row extreme of these climbs goes through decide; each is
         ## decided once with its tie certificate and once without
         monkeypatch.setattr(precision, "ESCALATION_MARGIN", FORCED)
-        pairs, real_decide = [], precision.decide
+        pairs, classes, real_decide = [], [], precision.decide
+        real_clean = oracle.class_clean
 
         def decide_both(*args, tie=None):
             pairs.append((real_decide(*args), real_decide(*args, tie=tie)))
             return pairs[-1][1]
 
+        def class_clean(group, l, budget, table):
+            start = len(pairs)
+            clean = real_clean(group, l, budget, table)
+            classes.append((group, l, start, len(pairs)))
+            return clean
+
         monkeypatch.setattr(precision, "decide", decide_both)
+        monkeypatch.setattr(oracle, "class_clean", class_clean)
+        monkeypatch.setattr(abelian, "class_clean", class_clean)
         for m in range(3, 82, 2):
             hat_l_exhaustive(m)
         for orders in ((3, 3), (5, 5), (3, 9), (3, 3, 3), (3, 15), (7, 7),
                        *((m,) for m in range(3, 50, 2))):
             abelian_oracle(AbelianGroup(orders))
-        assert len(pairs) == 834
+        ## one decision per representative row, not one per pair character
+        assert len(pairs) == 178
         assert [d.tie_proved for _, d in pairs] == [not t.resolved for t, _ in pairs]
         assert sum(d.tie_proved for _, d in pairs) == 6
         ## a margin proved nonzero is refined exactly as without the proof
         assert all(d == t if t.resolved else d.is_ramanujan == t.is_ramanujan
                    for t, d in pairs)
+        ## and each class decides its representative rows as the full pair
+        ## table does, up to the row that ends the class
+        assert classes[-1][3] == len(pairs)
+        for group, l, start, end in classes:
+            want = _full_table_decisions(real_decide, group, l)
+            assert [d for _, d in pairs[start:end]] == want[:end - start], (group, l)
 
     def test_one_constant_widens_every_window(self, monkeypatch):
         ## decide, the batched scan and the oracle's row extremes all read
@@ -144,37 +162,55 @@ class TestForcedEscalation:
         lo, hi = 10 ** 6 + 1, 10 ** 6 + 201
         assert [v.m for v in scan_range(lo, hi)] == seen == list(range(lo, hi + 1, 2))
 
-        ## per class: the rows built and every decision on a row extreme
-        rows, decisions = [], []
-        real_rows, real_decide = oracle._row_extremes, precision.decide
+        ## per class: every decision on a row extreme of its table
+        decisions, real_decide = [], precision.decide
         real_clean = oracle.class_clean
-
-        def row_extremes(*args):
-            for block in real_rows(*args):
-                rows.append(len(block[0]))
-                yield block
 
         def decide_row(*args, **kwargs):
             decisions.append(real_decide(*args, **kwargs))
             return decisions[-1]
 
-        def class_clean(group, l, budget):
-            del rows[:], decisions[:]
-            clean = real_clean(group, l, budget)
+        def class_clean(group, l, budget, table):
+            del decisions[:]
+            clean = real_clean(group, l, budget, table)
             assert decisions and all(d.escalated for d in decisions), (group, l)
             ## a clean class decides every row; any other ends on the first
             ## row that decide rejects
             assert [d.is_ramanujan for d in decisions] == (
-                [True] * sum(rows) if clean
+                [True] * len(table.chars) if clean
                 else [True] * (len(decisions) - 1) + [False]), (group, l)
             return clean
 
-        for name, fn in (("_row_extremes", row_extremes),
-                         ("class_clean", class_clean)):
-            monkeypatch.setattr(oracle, name, fn)
+        monkeypatch.setattr(oracle, "class_clean", class_clean)
         monkeypatch.setattr(precision, "decide", decide_row)
         for m, hat in want.items():
             assert hat_l_exhaustive(m) == hat, m
+
+
+def _full_table_decisions(decide, group, l):
+    """decide on every representative row of the whole pair table of the
+    class whose extreme is within ESCALATION_MARGIN of the bound, in row
+    order, as oracle.class_clean would without an early exit."""
+    orders = group_orders(group)
+    n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
+    h = (n - 1) // 2
+    R = pair_characters(orders)
+    reps = {tuple(c) for c in oracle.orbit_representatives(orders).tolist()}
+    K = phase_table(orders, R, R)
+    S = np.sort(np.minimum(K, L - K), axis=1)
+    cos = cos2(L, np.arange(L // 2 + 1))
+    top = 1.0 + cos[S[:, :r]].sum(axis=1)
+    absmax = np.maximum(top, -(1.0 + cos[S[:, h - r:]].sum(axis=1)))
+    rb = 2.0 * math.sqrt(n - l - 1)
+    out = []
+    for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
+        if tuple(R[i].tolist()) in reps:
+            sides = np.stack([S[i, :r], S[i, h - r:]])
+            out.append(decide(
+                n, l, lambda: float(absmax[i]),
+                lambda _digits: max(mp_abs_mu(s, L) for s in sides.tolist()),
+                tie=lambda: oracle._row_tie(sides, L, n - l)))
+    return out
 
 
 def test_refine_margin_is_called_only_in_precision():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from ramcirc.errors import ValidationError
 from ramcirc.spectra import (
-    _BLOCK,
+    BLOCK,
     CayleySet,
     cos2,
     eigenvalue,
@@ -137,7 +137,7 @@ class TestPhaseKernel:
         cols = E[np.random.default_rng(15).random(len(E)) < 1 / 3]
         blocks = list(phase_blocks(orders, chars, cols))
         assert (len(blocks) > 1) == several
-        assert all(b.size <= _BLOCK for b in blocks)
+        assert all(b.size <= BLOCK for b in blocks)
         K = np.concatenate(blocks)
         assert 0 <= K.min() and K.max() <= L // 2
         T = phase_table(orders, chars, cols)
