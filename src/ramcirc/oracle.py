@@ -1,5 +1,5 @@
 """Exhaustive verification of edge-removal bounds, one sorted row per
-cyclic subgroup of the character group.
+character order.
 
 A complement class is the set of all negation-closed complements of odd
 size l = 2r + 1 containing the identity, on any odd abelian group given
@@ -12,17 +12,18 @@ which is linear in T, and chi and -chi agree on a symmetric set.  So
 over the class, |mu_chi| is largest at the r largest or the r smallest
 entries of chi's row of the pair table, and the class maximum is the
 largest of those row extremes instead of C(h, r) sets, h = (|G| - 1)/2.
-A unit u of Z_L permutes the pairs, <u chi, b> = <chi, u b>, so the
-rows of chi and u chi hold one multiset and give the same extremes bit
-for bit; the units carry chi onto every generator of <chi>, so one row
-per nontrivial cyclic subgroup decides every class.  orbit_representatives
-picks the first character of each orbit in product order: the d(m) - 1
-proper divisors of m on Z_m, p + 1 characters on Z_p x Z_p.  row_table
-sorts those rows once per climb, keeping the smallest and the largest
-phases its classes can read, and the budget is charged for the rows x h
-table entries, built in blocks of at most spectra.BLOCK entries.  A kept
-set in a proper subgroup lies in a character kernel, so T holds every
-pair outside it, at least |G|/3 pairs; below r = |G|/3 every set of the
+A character of order e takes each e-th root of unity |G|/e times on G,
+so its folded row holds a multiset fixed by |G| and e alone, and one
+row per order e > 1 dividing the exponent L decides every class:
+order_characters takes (0, ..., 0, L/e), the first character of that
+order in product order.  That is the d(m) - 1 proper divisors of m on
+Z_m and one row on Z_p x Z_p.  The multiset only chooses the rows; each
+row is still built from the definition and sorted.  row_table sorts
+them once per climb, keeping the smallest and the largest phases its
+classes can read, and the budget is charged for the rows x h table
+entries, built in blocks of at most spectra.BLOCK entries.  A kept set
+in a proper subgroup lies in a character kernel, so T holds every pair
+outside it, at least |G|/3 pairs; below r = |G|/3 every set of the
 class generates G and the row maximum is the class maximum.  The rows,
 their cosines and their mpmath sums are spectra's phase_blocks, cos2
 and mp_abs_mu, the same kernel every eigenvalue of the package reads.
@@ -30,7 +31,7 @@ and mp_abs_mu, the same kernel every eigenvalue of the package reads.
 enumerate_class is the fallback for the classes where generation can
 bind and no violating row's extreme set generates (none of those that
 hat_l_exhaustive climbs, or abelian_oracle for the odd groups of order
-at most 1001).  It combines the removed pairs in
+at most 30001).  It combines the removed pairs in
 lexicographic order and keeps each set that spectra.CayleySet accepts,
 and the fallback decides each by spectra.is_ramanujan or
 spectra.spectrum: the package has one generation rule and one Ramanujan
@@ -89,49 +90,26 @@ from .spectra import (
 )
 
 
-def orbit_representatives(orders: tuple[int, ...]) -> np.ndarray:
-    """The first character in product order of each orbit of the units of
-    Z_L on the nonzero characters, L the exponent; in product order.
+def order_characters(orders: tuple[int, ...]) -> np.ndarray:
+    """One character of each order e > 1 dividing the exponent L, the first
+    of that order in product order: (0, ..., 0, L/e), by e descending.
 
-    The orbit of chi is the set of generators of <chi>.  A unit keeps the
-    place of chi's first nonzero coordinate c and carries c onto the
-    nonzero multiples of gcd(c, n) in Z_n, n that coordinate's invariant
-    factor; so a representative has c | n, which on Z_m leaves exactly
-    the proper divisors of m.  On a group of rank >= 2 a candidate is a
-    representative when no unit carries it to an earlier element.  That
-    is checked on batches of the candidates not yet reached, in product
-    order, at most spectra.BLOCK image coordinates a batch (or one
-    candidate's orbit), and the orbits of the representatives a batch
-    finds are struck from the later batches.
+    The L/e are the proper divisors of L, which the divisibility filter
+    L % d == 0 leaves of the pairs of Z_L with no loop; on Z_m they are
+    the d(m) - 1 rows (d,), on a group of rank >= 2 the same column
+    behind zeros.
     """
-    if len(orders) == 1:
-        return np.concatenate([E[orders[0] % E[:, 0] == 0] for E in pair_blocks(orders)])
-    n = np.array(orders)
-    candidates = []
-    for E in pair_blocks(orders):
-        lead = (E != 0).argmax(axis=1)
-        candidates.append(E[n[lead] % E[np.arange(len(E)), lead] == 0])
-    C = np.concatenate(candidates)
     L = orders[-1]
-    units = np.flatnonzero(np.gcd(np.arange(L), L) == 1)
-    flat, left = np.ravel_multi_index(C.T, orders), np.ones(len(C), dtype=bool)
-    batch = max(1, BLOCK // (len(units) * len(orders)))
-    reps = []
-    while True:
-        idx = np.flatnonzero(left)
-        images = np.ravel_multi_index(
-            np.moveaxis((units[:, None, None] * C[idx[:batch]]) % n, -1, 0), orders)
-        own = images.min(axis=0) == flat[idx[:batch]]
-        reps.append(idx[:batch][own])
-        if len(idx) <= batch:
-            return C[np.concatenate(reps)]
-        image = images[:, own].ravel()
-        at = np.minimum(np.searchsorted(flat, image), len(flat) - 1)
-        left[at[flat[at] == image]] = False
+    d = np.concatenate([E[L % E[:, 0] == 0] for E in pair_blocks((L,))])
+    if len(orders) == 1:
+        return d
+    chars = np.zeros((len(d), len(orders)), dtype=d.dtype)
+    chars[:, -1:] = d
+    return chars
 
 
 class RowTable(NamedTuple):
-    """The rows of the pair table for orbit_representatives, each sorted.
+    """The rows of the pair table for order_characters, each sorted.
 
     sides[i] holds the folded phases of chars[i] against every pair of
     spectra.pair_characters, ascending: all h of them, or the r_max
@@ -189,19 +167,16 @@ class RowTable(NamedTuple):
 def row_table(orders: tuple[int, ...], r_max: int, budget: int) -> RowTable:
     """The RowTable of the group for classes of up to r_max removed pairs.
 
-    The budget is charged for the table's rows x h entries, which are
-    built in blocks of at most spectra.BLOCK entries; the sorted sides
-    kept are at most that many.  A table has at least one row on Z_m,
-    and at least n + 1 on a group of rank >= 2, n = orders[-2]: the
-    cyclic subgroups <(1, x)> and <(0, 1)> of the Z_n x Z_n inside it.
-    A table whose least size already exceeds the budget is refused, with
-    that size, before its representatives are sought.
+    The budget is charged for the table's (d(L) - 1) x h entries, one
+    row per order e > 1 dividing the exponent L, built in blocks of at
+    most spectra.BLOCK entries; the sorted sides kept are at most that
+    many.  Every table has the row of order L, so a group of more than
+    budget pairs is refused, with h, before the divisors of L are sought.
     """
     h, L = (math.prod(orders) - 1) // 2, orders[-1]
-    least = h * (1 if len(orders) == 1 else orders[-2] + 1)
-    if least > budget:
-        raise BudgetExceededError(least, budget, "table entries")
-    chars = orbit_representatives(orders)
+    if h > budget:
+        raise BudgetExceededError(h, budget, "table entries")
+    chars = order_characters(orders)
     if len(chars) * h > budget:
         raise BudgetExceededError(len(chars) * h, budget, "table entries")
     w = min(h, r_max)
@@ -267,9 +242,11 @@ def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bo
     through precision.decide: an exact tie is proved by _row_tie, and
     any other margin is refined from the same r-sum of exact phases.  A
     violating row ends the class when its extreme set generates G, as
-    every set does for 3r < |G|; when no violating row's set generates,
-    is_ramanujan decides each set of enumerate_class.  An empty class
-    counts as clean.
+    every set does for 3r < |G|.  Where 3r >= |G| only one extreme set
+    per character order is tried, the one of the row's own character;
+    when none of the violating rows' sets generates, is_ramanujan
+    decides each set of enumerate_class.  An empty class counts as
+    clean.
     """
     orders = group_orders(group)
     n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
@@ -352,12 +329,13 @@ class ClassMax:
 
 
 def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
-    """The class maximum from the representative rows, and its witness.
+    """The class maximum from the rows of order_characters, and its witness.
 
     The witness is the r pairs of the first row that attains the
     maximum, the largest or the smallest entries as the maximum takes
-    them, ties in index order; a row shares its extreme with its whole
-    unit orbit, so that is the first such row of the full pair table.
+    them, ties in index order; a row shares its extreme with every
+    character of its order, and on Z_m the row of d is the first of the
+    order m/d, so that is the first such row of the full pair table.
     Where that set does not generate Z_m, which needs 3r >= m, the
     witness is instead the first set of enumerate_class with the largest
     spectrum(s).mu_max.

@@ -8,6 +8,12 @@ numpy chunks with shared prefixes: a set's character sums are its
 prefix's sums plus one table row.  That keeps it fast on the 10^7-set
 classes the tests compare against, where oracle.enumerate_class builds
 and checks one CayleySet a set.
+
+orbit_representatives finds the first character of each unit orbit of
+the character group by brute force over the units; it is the reference
+that oracle.order_characters, one character per order, is checked
+against.  odd_abelian_groups lists the invariant-factor chains of every
+odd abelian group up to a given order.
 """
 
 import math
@@ -18,7 +24,14 @@ import numpy as np
 from ramcirc import precision
 from ramcirc.errors import DEFAULT_BUDGET, BudgetExceededError, InternalInvariantError
 from ramcirc.oracle import ClassMax, _cayley
-from ramcirc.spectra import is_ramanujan, pair_characters, phase_table, ramanujan_bound
+from ramcirc.spectra import (
+    BLOCK,
+    is_ramanujan,
+    pair_blocks,
+    pair_characters,
+    phase_table,
+    ramanujan_bound,
+)
 
 ## chunk size for the vectorised scans, in doubles of one level's sums
 ## (combinations x characters); a scan holds r such levels at once
@@ -128,3 +141,55 @@ def _scan_max(m: int, l: int, budget: int) -> ClassMax:
     if best_row is None:
         raise InternalInvariantError(f"class m={m}, l={l} has no valid sets")
     return ClassMax(m, l, best, ramanujan_bound(m, l), _cayley(m, best_row))
+
+
+def odd_abelian_groups(limit: int) -> list[tuple[int, ...]]:
+    """Every odd abelian group of order at most limit, as its chain of
+    invariant factors, cyclic ones included."""
+    def chains(chain, order):
+        yield tuple(chain)
+        for b in range(chain[-1], limit // order + 1, 2 * chain[-1]):
+            yield from chains(chain + [b], order * b)
+
+    return [c for a in range(3, limit + 1, 2) for c in chains([a], a)]
+
+
+def orbit_representatives(orders: tuple[int, ...]) -> np.ndarray:
+    """The first character in product order of each orbit of the units of
+    Z_L on the nonzero characters, L the exponent; in product order.
+
+    The orbit of chi is the set of generators of <chi>.  A unit keeps the
+    place of chi's first nonzero coordinate c and carries c onto the
+    nonzero multiples of gcd(c, n) in Z_n, n that coordinate's invariant
+    factor; so a representative has c | n, which on Z_m leaves exactly
+    the proper divisors of m.  On a group of rank >= 2 a candidate is a
+    representative when no unit carries it to an earlier element.  That
+    is checked on batches of the candidates not yet reached, in product
+    order, at most spectra.BLOCK image coordinates a batch (or one
+    candidate's orbit), and the orbits of the representatives a batch
+    finds are struck from the later batches.
+    """
+    if len(orders) == 1:
+        return np.concatenate([E[orders[0] % E[:, 0] == 0] for E in pair_blocks(orders)])
+    n = np.array(orders)
+    candidates = []
+    for E in pair_blocks(orders):
+        lead = (E != 0).argmax(axis=1)
+        candidates.append(E[n[lead] % E[np.arange(len(E)), lead] == 0])
+    C = np.concatenate(candidates)
+    L = orders[-1]
+    units = np.flatnonzero(np.gcd(np.arange(L), L) == 1)
+    flat, left = np.ravel_multi_index(C.T, orders), np.ones(len(C), dtype=bool)
+    batch = max(1, BLOCK // (len(units) * len(orders)))
+    reps = []
+    while True:
+        idx = np.flatnonzero(left)
+        images = np.ravel_multi_index(
+            np.moveaxis((units[:, None, None] * C[idx[:batch]]) % n, -1, 0), orders)
+        own = images.min(axis=0) == flat[idx[:batch]]
+        reps.append(idx[:batch][own])
+        if len(idx) <= batch:
+            return C[np.concatenate(reps)]
+        image = images[:, own].ravel()
+        at = np.minimum(np.searchsorted(flat, image), len(flat) - 1)
+        left[at[flat[at] == image]] = False

@@ -19,6 +19,7 @@ from ramcirc.bounds import trivial_bound
 from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.numtheory import sieve_primes
 from ramcirc.spectra import CayleySet, eigenvalue, is_ramanujan, spectrum
+from scan_reference import odd_abelian_groups
 
 
 class TestGroup:
@@ -299,29 +300,34 @@ class TestOracle:
             with pytest.raises(ValidationError):
                 CayleySet.from_pairs(g, rest)
 
-    def test_every_noncyclic_group_to_1001(self, monkeypatch):
+    def test_every_noncyclic_group_to_10001(self, monkeypatch):
         ## every divisibility chain of two or more odd factors >= 3 with
-        ## product at most 1001
-        def chains(chain, order):
-            if len(chain) >= 2:
-                yield tuple(chain)
-            for b in range(chain[-1], 1001 // order + 1, 2 * chain[-1]):
-                yield from chains(chain + [b], order * b)
-
-        groups = [c for a in range(3, 1002, 2) for c in chains([a], a)]
-        assert len(groups) == 149
-        ## the rows of the pair table decide every class climbed, with no
-        ## scan, even on Z_p x Z_p for 11 <= p <= 31, whose l0 + 2 classes
-        ## hold more than 1e7 sets
-        def no_enumeration(*args):
-            raise AssertionError("enumerated a class")
-
-        monkeypatch.setattr(oracle, "enumerate_class", no_enumeration)
-        for orders in groups:
-            g = AbelianGroup(orders)
-            assert abelian_oracle(g) == abelian_hat_l(g).hat_l, orders
+        ## product at most 10001; the rows of the pair table decide every
+        ## class climbed, with no scan, even on Z_p x Z_p for
+        ## 11 <= p <= 31, whose l0 + 2 classes hold more than 1e7 sets
+        monkeypatch.setattr(oracle, "enumerate_class", _no_enumeration)
+        assert _agreeing_noncyclic_groups(10001) == 1581
         for p in (11, 13, 17, 19, 23, 29, 31):
             l0 = trivial_bound(p * p)
             assert math.comb((p * p - 1) // 2, (l0 + 1) // 2) > 10 ** 7
             assert abelian_oracle(AbelianGroup((p, p))) == (
                 l0 + 2 if p <= 17 else l0), p
+
+    @pytest.mark.slow
+    def test_every_noncyclic_group_to_30001(self, monkeypatch):
+        monkeypatch.setattr(oracle, "enumerate_class", _no_enumeration)
+        assert _agreeing_noncyclic_groups(30001) == 4803
+
+
+def _no_enumeration(*args):
+    raise AssertionError("enumerated a class")
+
+
+def _agreeing_noncyclic_groups(limit):
+    """abelian_oracle == abelian_hat_l on every non-cyclic odd abelian group
+    of order at most limit; returns how many groups were checked."""
+    groups = [g for g in odd_abelian_groups(limit) if len(g) >= 2]
+    for orders in groups:
+        g = AbelianGroup(orders)
+        assert abelian_oracle(g) == abelian_hat_l(g).hat_l, orders
+    return len(groups)

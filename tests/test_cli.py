@@ -341,7 +341,7 @@ class TestAbelian:
         assert "Traceback" not in err
 
     def test_oracle_decides_11x11(self, capsys):
-        ## its l0 + 2 class holds 7.5e10 sets; its table, 12 x 60 entries
+        ## its l0 + 2 class holds 7.5e10 sets; its table, one row of 60 entries
         code, out, err = run(capsys, "abelian", "--orders", "11,11", "--oracle")
         assert code == 0
         assert "oracle: 21  (agree)" in out
@@ -351,8 +351,16 @@ class TestAbelian:
         code, _, err = run(capsys, "abelian", "--orders", "11,11", "--oracle",
                            "--budget", "10")
         assert code == 2
-        ## one sorted row per cyclic subgroup: p + 1 = 12 rows of h = 60 pairs
-        assert "error: enumeration needs 720 table entries, budget is 10" in err
+        ## one sorted row per character order: 1 row of h = 60 pairs
+        assert "error: enumeration needs 60 table entries, budget is 10" in err
+        assert "Traceback" not in err
+
+    def test_oracle_decides_z101_cubed(self, capsys):
+        ## 515150 pairs and one character order, 101, so one row, though
+        ## the group has 10303 nontrivial cyclic subgroups
+        code, out, err = run(capsys, "abelian", "--orders", "101,101,101", "--oracle")
+        assert code == 0
+        assert "oracle: 2027  (agree)" in out
         assert "Traceback" not in err
 
     def test_rejects_even_orders(self, capsys):

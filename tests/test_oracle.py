@@ -28,7 +28,13 @@ from ramcirc.spectra import (
     spectrum,
     window_complement,
 )
-from scan_reference import _scan_clean, _scan_max, scan_class
+from scan_reference import (
+    _scan_clean,
+    _scan_max,
+    odd_abelian_groups,
+    orbit_representatives,
+    scan_class,
+)
 
 
 class TestEnumeration:
@@ -185,17 +191,6 @@ class TestBorderRows:
         assert [oracle.class_clean(g, l, 10**6) for g, l in cases] == want
 
 
-def _odd_abelian_groups(limit):
-    """Every odd abelian group of order at most limit, as its chain of
-    invariant factors, cyclic ones included."""
-    def chains(chain, order):
-        yield tuple(chain)
-        for b in range(chain[-1], limit // order + 1, 2 * chain[-1]):
-            yield from chains(chain + [b], order * b)
-
-    return [c for a in range(3, limit + 1, 2) for c in chains([a], a)]
-
-
 def _orbit_minima(orders):
     """The least element in product order of u * chi over every unit u of
     Z_L, for every nonzero chi, by brute force."""
@@ -208,16 +203,47 @@ def _orbit_minima(orders):
 
 class TestRowTable:
     def test_representatives_are_the_orbit_minima(self):
-        groups = _odd_abelian_groups(400)
+        groups = odd_abelian_groups(400)
         assert len(groups) == 255
         for orders in groups:
-            got = oracle.orbit_representatives(orders)
+            got = orbit_representatives(orders)
             assert np.array_equal(got, _orbit_minima(orders)), orders
-        ## one row per nontrivial cyclic subgroup: a proper divisor of m
-        ## on Z_m, p + 1 lines through the identity on Z_p x Z_p
-        assert oracle.orbit_representatives((45,)).ravel().tolist() == [1, 3, 5, 9, 15]
+        ## one representative per nontrivial cyclic subgroup: a proper
+        ## divisor of m on Z_m, p + 1 lines through the identity on Z_p x Z_p
+        assert orbit_representatives((45,)).ravel().tolist() == [1, 3, 5, 9, 15]
         for p in (3, 5, 7, 11, 13):
-            assert len(oracle.orbit_representatives((p, p))) == p + 1
+            assert len(orbit_representatives((p, p))) == p + 1
+
+    def test_one_row_per_order_holds_every_orbit_row(self):
+        ## a character of order e takes each e-th root of unity |G|/e times,
+        ## so every orbit representative's sorted folded row is the row of
+        ## the order character of its order
+        for orders in odd_abelian_groups(400):
+            R, L = pair_characters(orders), orders[-1]
+            reps, chars = orbit_representatives(orders), oracle.order_characters(orders)
+            rows = {}
+            for k, chi in zip(_folded_sorted(orders, chars, R), chars):
+                assert chi[:-1].tolist() == [0] * (len(orders) - 1), orders
+                rows[_char_order(orders, chi)] = k
+            ## one character of each order e > 1 dividing L, e descending
+            assert list(rows) == [e for e in range(L, 1, -1) if L % e == 0], orders
+            for k, chi in zip(_folded_sorted(orders, reps, R), reps):
+                assert np.array_equal(k, rows[_char_order(orders, chi)]), (orders, chi)
+        assert oracle.order_characters((45,)).ravel().tolist() == [1, 3, 5, 9, 15]
+        ## one row on Z_p x Z_p, not p + 1; 7 on (3, 3333), not 19
+        for p in (3, 5, 7, 11, 13):
+            assert oracle.order_characters((p, p)).tolist() == [[0, 1]]
+        assert len(oracle.order_characters((3, 3333))) == 7
+        assert len(orbit_representatives((3, 3333))) == 19
+
+    def test_equal_rows_tie_once(self, monkeypatch):
+        ## the 4 lines of Z_3 x Z_3 share one row, so the exact tie
+        ## mu = rb = 2 of its top class is decided once, not 4 times
+        decisions, real = [], precision.decide
+        monkeypatch.setattr(precision, "decide", lambda *args, **kwargs: decisions.append(
+            real(*args, **kwargs)) or decisions[-1])
+        assert abelian_oracle(AbelianGroup((3, 3))) == 7
+        assert [(d.mu_max, d.tie_proved) for d in decisions] == [(2.0, True)]
 
     def test_blocks_merge_into_the_sorted_ends(self, monkeypatch):
         ## with blocks of 8 entries the rows are built a few pairs at a
@@ -250,12 +276,11 @@ class TestRowTable:
                 got.extremes(got.r_max + 1)
 
     def test_huge_groups_are_refused_before_any_row(self):
-        ## every table has at least h entries on Z_m, and (n + 1) h on a
-        ## group whose second-to-last invariant factor is n
+        ## every table has at least the row of order L, h entries
         tracemalloc.start()
         try:
             for orders, least in (((10**12 + 1,), 5 * 10**11),
-                                  ((30001, 30001), 30002 * (30001**2 - 1) // 2)):
+                                  ((30001, 30001), (30001**2 - 1) // 2)):
                 with pytest.raises(BudgetExceededError) as e:
                     oracle.row_table(orders, 10, 10**8)
                 assert e.value.required == least
@@ -267,6 +292,17 @@ class TestRowTable:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _folded_sorted(orders, chars, R):
+    """The sorted folded rows of chars against the pairs R."""
+    K = spectra.phase_table(orders, chars, R)
+    return np.sort(np.minimum(K, orders[-1] - K), axis=1)
+
+
+def _char_order(orders, chi):
+    """The order of the character chi, the lcm of its coordinates' orders."""
+    return math.lcm(*(n // math.gcd(int(c), n) for c, n in zip(chi, orders)))
 
 
 class TestRowRoute:
@@ -343,7 +379,7 @@ class TestRowRoute:
         ## 1 x 50 on the prime 101 and 7 x 52 on 105 = 3 * 5 * 7
         for m, rows in ((101, 1), (105, 7)):
             entries = rows * (m - 1) // 2
-            assert len(oracle.orbit_representatives((m,))) == rows
+            assert len(oracle.order_characters((m,))) == rows
             assert class_max(m, 21, budget=entries).mu > 0
             with pytest.raises(BudgetExceededError) as e:
                 class_max(m, 21, budget=entries - 1)

@@ -134,15 +134,15 @@ class TestForcedEscalation:
         for orders in ((3, 3), (5, 5), (3, 9), (3, 3, 3), (3, 15), (7, 7),
                        *((m,) for m in range(3, 50, 2))):
             abelian_oracle(AbelianGroup(orders))
-        ## one decision per representative row, not one per pair character
-        assert len(pairs) == 178
+        ## one decision per character order, not one per cyclic subgroup
+        assert len(pairs) == 155
         assert [d.tie_proved for _, d in pairs] == [not t.resolved for t, _ in pairs]
-        assert sum(d.tie_proved for _, d in pairs) == 6
+        assert sum(d.tie_proved for _, d in pairs) == 3
         ## a margin proved nonzero is refined exactly as without the proof
         assert all(d == t if t.resolved else d.is_ramanujan == t.is_ramanujan
                    for t, d in pairs)
-        ## and each class decides its representative rows as the full pair
-        ## table does, up to the row that ends the class
+        ## and each class decides its order rows as the full pair table
+        ## does, up to the row that ends the class
         assert classes[-1][3] == len(pairs)
         for group, l, start, end in classes:
             want = _full_table_decisions(real_decide, group, l)
@@ -188,14 +188,15 @@ class TestForcedEscalation:
 
 
 def _full_table_decisions(decide, group, l):
-    """decide on every representative row of the whole pair table of the
-    class whose extreme is within ESCALATION_MARGIN of the bound, in row
-    order, as oracle.class_clean would without an early exit."""
+    """decide on every row of the whole pair table of the class that is
+    an oracle.order_characters row and whose extreme is within
+    ESCALATION_MARGIN of the bound, in row order, as oracle.class_clean
+    would without an early exit."""
     orders = group_orders(group)
     n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
     h = (n - 1) // 2
     R = pair_characters(orders)
-    reps = {tuple(c) for c in oracle.orbit_representatives(orders).tolist()}
+    reps = {tuple(c) for c in oracle.order_characters(orders).tolist()}
     K = phase_table(orders, R, R)
     S = np.sort(np.minimum(K, L - K), axis=1)
     cos = cos2(L, np.arange(L // 2 + 1))
