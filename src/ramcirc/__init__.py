@@ -18,6 +18,7 @@ from .abelian import (
 from .bounds import (
     C_OFFSETS,
     CPRIMES,
+    NOT_IN_J,
     CandidateWitness,
     in_candidate_set,
     interval_index,

@@ -82,15 +82,16 @@ def negative_excess_window(k: int) -> tuple[int, int]:
 
 
 class CandidateWitness(NamedTuple):
-    """How (and whether) m sits in the candidate set.
+    """How (and whether) an order m sits in the candidate set.
 
     source is "small_window" for odd 15 <= m <= 29 and "quadratic" when
     4m + 25 - 4c is an odd perfect square s^2 with k = (s - 5)/2 in range;
-    c and k are filled only in the quadratic case.  An immutable
+    c and k are filled only in the quadratic case.  The record does not
+    hold m (it always sits next to its order), so every order outside
+    the candidate set shares the one witness NOT_IN_J.  An immutable
     NamedTuple record: read it by attribute, not by position.
     """
 
-    m: int
     member: bool
     source: str | None = None
     c: int | None = None
@@ -101,17 +102,21 @@ class CandidateWitness(NamedTuple):
         return None if self.c is None else 25 - 4 * self.c
 
 
+## the witness of every order outside the candidate set
+NOT_IN_J = CandidateWitness(False)
+
+
 def in_candidate_set(m: int) -> CandidateWitness:
     """Exact membership test for the candidate set of exceptional orders.
 
     4m + c' runs over [4m + 5, 4m + 45], and odd squares above 441 lie
     more than 40 apart, so only the largest odd square s^2 <= 4m + 45 can
     give a k >= 4; for odd m every such s^2 >= 4m + 5 is 4m + c' for one
-    of the six c'.
+    of the six c'.  Every non-member gets the shared witness NOT_IN_J.
     """
     check_modulus(m)
     if m in SMALL_WINDOW:
-        return CandidateWitness(m, True, "small_window")
+        return CandidateWitness(True, "small_window")
     s = isqrt(4 * m + CPRIMES[-5])
     s -= 1 - s % 2
     cp = s * s - 4 * m
@@ -119,8 +124,8 @@ def in_candidate_set(m: int) -> CandidateWitness:
     if cp >= CPRIMES[5]:
         c = (25 - cp) // 4
         if k >= K_MIN[c]:
-            return CandidateWitness(m, True, "quadratic", c, k)
-    return CandidateWitness(m, False)
+            return CandidateWitness(True, "quadratic", c, k)
+    return NOT_IN_J
 
 
 def deep_window_max_h(m: int) -> int:

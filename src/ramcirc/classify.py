@@ -39,6 +39,7 @@ from .bounds import (
     CPRIMES,
     C_OFFSETS,
     K_MIN,
+    NOT_IN_J,
     CandidateWitness,
     in_candidate_set,
     trivial_bound,
@@ -182,12 +183,13 @@ def classify(m: int, factors=None) -> Verdict:
 
     factors optionally supplies the prime factorisation (a Factorization
     or an iterable of primes with multiplicity); it is required above
-    2**64 where the built-in factoriser refuses.
+    2**64 where the built-in factoriser refuses.  Orders m <= 13 and
+    orders outside the candidate set carry the shared witness NOT_IN_J.
     """
     check_modulus(m)
     l0 = trivial_bound(m)
     if m <= 13:
-        return Verdict(m, l0, CandidateWitness(m, False), KIND_SMALL,
+        return Verdict(m, l0, NOT_IN_J, KIND_SMALL,
                        VERDICT_ALL_RAMANUJAN, None, m - 2)
     w = in_candidate_set(m)
     if not w.member:
@@ -472,8 +474,10 @@ def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
     the scalar arithmetic of trivial_bound, in_candidate_set (one root,
     rounded down to odd), window_eigenvalue and ramanujan_bound
     operation for operation (the reduction of l mod 2m is left out:
-    l < m); every other order goes through classify, which also raises
-    on a non-negative margin outside the candidate set.
+    l < m); that is one record per order, as every one of them holds
+    the shared witness NOT_IN_J.  Every other order goes through
+    classify, which also raises on a non-negative margin outside the
+    candidate set.
     """
     m = np.arange(lo, hi + 1, 2, dtype=np.int64)
     l0 = 2 * ((isqrt_array(4 * m) - 3) // 2) + 1
@@ -492,13 +496,10 @@ def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
     ## every record is filled by tuple.__new__ from columns, in C, with
     ## no per-order Python frame; the other orders' records are then
     ## replaced by classify's
-    new = tuple.__new__
     none = repeat(None)
     ms, l0s = m.tolist(), l0.tolist()
-    witnesses = map(new, repeat(CandidateWitness),
-                    zip(ms, repeat(False), none, none, none))
-    verdicts = list(map(new, repeat(Verdict), zip(
-        ms, l0s, witnesses, repeat(KIND_OUTSIDE), repeat(VERDICT_ORDINARY),
+    verdicts = list(map(tuple.__new__, repeat(Verdict), zip(
+        ms, l0s, repeat(NOT_IN_J), repeat(KIND_OUTSIDE), repeat(VERDICT_ORDINARY),
         repeat(0), l0s, none, none, mu.tolist(), rb.tolist(), margin.tolist(),
         none)))
     for i in np.flatnonzero(~fast).tolist():
@@ -526,7 +527,12 @@ def scan_range(lo: int, hi: int) -> list[Verdict]:
 
 
 def exceptional_orders(x: int) -> list[int]:
-    """All exceptional orders m <= x (the census behind the density counts)."""
+    """All exceptional orders m <= x (the census behind the density counts).
+
+    The first exceptional order is 15, so below it the list is empty.
+    """
+    if x < 15:
+        return []
     return [v.m for v in scan_range(15, x)
             if v.verdict == VERDICT_EXCEPTIONAL]
 

@@ -143,11 +143,13 @@ def _write_csv(stream, columns, rows) -> None:
 
 def cmd_scan(args) -> int:
     verdicts = scan_range(args.lo, args.hi)
-    ## rows feed only the JSON and the CSV, lines only the text output
-    rows = [_scan_row(v) for v in verdicts] if args.json or args.csv else None
+    ## rows are kept only for the JSON; the CSV streams one row at a time,
+    ## and lines feed only the text output
+    rows = [_scan_row(v) for v in verdicts] if args.json else None
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            _write_csv(fh, _SCAN_COLUMNS, rows)
+            _write_csv(fh, _SCAN_COLUMNS,
+                       rows if args.json else map(_scan_row, verdicts))
     exceptional = [v.m for v in verdicts if v.verdict == VERDICT_EXCEPTIONAL]
     lines = []
     if not args.json:

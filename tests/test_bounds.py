@@ -42,15 +42,15 @@ def candidate_by_brute_force(m: int) -> bool:
 def six_root_witness(m: int) -> CandidateWitness:
     """Reference witness: one square test of 4m + c' for each of the six c'."""
     if m in SMALL_WINDOW:
-        return CandidateWitness(m, True, "small_window")
+        return CandidateWitness(True, "small_window")
     found = []
     for c in C_OFFSETS:
         s2 = 4 * m + CPRIMES[c]
         s = isqrt(s2)
         if s * s == s2 and (s - 5) // 2 >= K_MIN[c]:
-            found.append(CandidateWitness(m, True, "quadratic", c, (s - 5) // 2))
+            found.append(CandidateWitness(True, "quadratic", c, (s - 5) // 2))
     assert len(found) <= 1, found
-    return found[0] if found else CandidateWitness(m, False)
+    return found[0] if found else CandidateWitness(False)
 
 
 class TestTrivialBound:

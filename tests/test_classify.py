@@ -4,6 +4,8 @@ import importlib
 import math
 import pickle
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from ramcirc import golden, precision
 from ramcirc.bounds import (
     C_OFFSETS,
     K_MIN,
+    NOT_IN_J,
     SMALL_WINDOW,
     CandidateWitness,
     in_candidate_set,
@@ -381,6 +384,12 @@ class TestCensus:
         assert tuple(exceptional_orders(100)) == golden.EXCEPTIONAL_ORDERS_100
         assert rho_e(100) == 18
 
+    @pytest.mark.parametrize("x, want", [(3, []), (13, []), (14, []), (15, [15])])
+    def test_census_below_the_first_exceptional_order(self, x, want):
+        ## 15 is the first exceptional order, so rho_E is 0 below it
+        assert exceptional_orders(x) == want
+        assert rho_e(x) == len(want)
+
     def test_every_exceptional_is_candidate(self):
         for m in exceptional_orders(2000):
             assert in_candidate_set(m).member
@@ -451,6 +460,42 @@ class TestScanBatches:
         _assert_same_records(got, _per_order(lo, hi))
 
 
+class TestSharedWitness:
+    """Every order outside J holds the one witness NOT_IN_J, so the census
+    keeps one record per order, not a Verdict and a witness."""
+
+    def test_batched_block_shares_not_in_j(self):
+        got = scan_range(10 ** 6 + 1, 10 ** 6 + 40001)
+        outside = [v for v in got if v.kind == "outside_J"]
+        assert len(outside) > 19000
+        assert all(v.witness is NOT_IN_J for v in outside)
+        assert all(v.witness.member for v in got if v.kind != "outside_J")
+
+    def test_scalar_paths_return_not_in_j(self):
+        assert NOT_IN_J == CandidateWitness(False)
+        assert in_candidate_set(31) is NOT_IN_J
+        assert classify(9).witness is NOT_IN_J
+        assert classify(31).witness is NOT_IN_J
+
+    def test_bytes_kept_per_outside_j_order(self):
+        ## one record per order: the Verdict, its two ints (hat_l is l0)
+        ## and three floats, and a slot in the list.  A second record per
+        ## order, such as a witness of its own, would add more than half
+        ## of NOT_IN_J's size on top.
+        lo, n = 10 ** 7 + 1, 20000
+        scan_range(lo, lo + 200)  # lazy imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            got = scan_range(lo, lo + 2 * (n - 1))
+            kept = tracemalloc.get_traced_memory()[0] / n
+        finally:
+            tracemalloc.stop()
+        v = next(v for v in got if v.kind == "outside_J")
+        one_record = (sys.getsizeof(v) + sys.getsizeof(v.m) + sys.getsizeof(v.l0)
+                      + 3 * sys.getsizeof(v.mu_hat) + 8)
+        assert kept < one_record + sys.getsizeof(NOT_IN_J) / 2, (kept, one_record)
+
+
 class TestVerdictRecord:
     """Verdict and CandidateWitness are immutable named tuples: fixed
     fields, hashable, picklable, built alike by the batch path and by
@@ -476,3 +521,5 @@ class TestVerdictRecord:
             back = pickle.loads(pickle.dumps(v))
             assert back == v and repr(back) == repr(v)
             assert type(back) is Verdict and type(back.witness) is CandidateWitness
+        back = pickle.loads(pickle.dumps(NOT_IN_J))
+        assert back == NOT_IN_J and type(back) is CandidateWitness
