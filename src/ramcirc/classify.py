@@ -32,8 +32,6 @@ from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from . import precision
 from .bounds import (
     CPRIMES,
@@ -45,7 +43,7 @@ from .bounds import (
     trivial_bound,
     window_margin,
 )
-from .errors import InternalInvariantError, ValidationError
+from .errors import InternalInvariantError, ValidationError, lazy_numpy
 from .numtheory import (
     Factorization,
     is_prime,
@@ -61,6 +59,8 @@ from .precision import (
     start_digits,
 )
 from .spectra import CayleySet, check_modulus, ramanujan_bound, window_eigenvalue
+
+np = lazy_numpy()
 
 ## arithmetic kinds, as serialized
 KIND_SMALL = "small"

@@ -50,6 +50,8 @@ from .spectra import CayleySet, decide_spectrum, spectrum
 
 
 def _emit(args, payload, lines) -> None:
+    """Print payload as JSON under --json, else each line of the iterable
+    lines as it comes."""
     if args.json:
         print(json.dumps(payload, separators=(",", ":"), allow_nan=False))
     else:
@@ -131,34 +133,37 @@ def _scan_row(v) -> dict:
 
 
 def _write_csv(stream, columns, rows) -> None:
+    """A header, then one line per row dict: None as an empty cell, a bool
+    as true or false, a float to 12 significant digits."""
     writer = csv.writer(stream)
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row[c] is None else
-                         (str(row[c]).lower() if isinstance(row[c], bool)
-                          else f"{row[c]:.12g}" if isinstance(row[c], float)
-                          else row[c])
-                         for c in columns])
+    writer.writerows(["" if x is None else ("true" if x else "false") if type(x) is bool
+                      else format(x, ".12g") if type(x) is float else x
+                      for x in map(row.__getitem__, columns)] for row in rows)
+
+
+def _scan_lines(verdicts, exceptional: int, csv_path):
+    """The text output of scan, one line at a time."""
+    for v in verdicts:
+        yield (f"m={v.m} l0={v.l0} kind={v.kind} verdict={v.verdict} "
+               f"hat_l={v.hat_l} margin={_fmt(v.margin)}")
+    yield f"scanned {len(verdicts)} orders, {exceptional} exceptional"
+    if csv_path:
+        yield f"csv written to {csv_path}"
 
 
 def cmd_scan(args) -> int:
     verdicts = scan_range(args.lo, args.hi)
-    ## rows are kept only for the JSON; the CSV streams one row at a time,
-    ## and lines feed only the text output
+    ## rows are kept only for the JSON; the CSV and the text output stream
+    ## one row at a time
     rows = [_scan_row(v) for v in verdicts] if args.json else None
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             _write_csv(fh, _SCAN_COLUMNS,
                        rows if args.json else map(_scan_row, verdicts))
     exceptional = [v.m for v in verdicts if v.verdict == VERDICT_EXCEPTIONAL]
-    lines = []
-    if not args.json:
-        lines = [f"m={v.m} l0={v.l0} kind={v.kind} verdict={v.verdict} "
-                 f"hat_l={v.hat_l} margin={_fmt(v.margin)}" for v in verdicts]
-        lines.append(f"scanned {len(verdicts)} orders, {len(exceptional)} exceptional")
-        if args.csv:
-            lines.append(f"csv written to {args.csv}")
-    _emit(args, {"rows": rows, "exceptional": exceptional}, lines)
+    _emit(args, {"rows": rows, "exceptional": exceptional},
+          _scan_lines(verdicts, len(exceptional), args.csv))
     return 0
 
 

@@ -18,15 +18,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-import numpy as np
-
 from .bounds import CPRIMES, C_OFFSETS
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     InternalInvariantError,
     ValidationError,
+    lazy_numpy,
 )
+
+np = lazy_numpy()
 
 ## is_prime trial-divides by these before its Miller-Rabin rounds
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -58,8 +58,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-import numpy as np
-
 from . import precision
 from .bounds import trivial_bound
 from .classify import semiprime_candidates
@@ -68,6 +66,7 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
     BudgetExceededError,
     InternalInvariantError,
     ValidationError,
+    lazy_numpy,
 )
 from .numtheory import least_prime_split
 from .spectra import (
@@ -88,6 +87,8 @@ from .spectra import (
     spectrum,
     window_complement,
 )
+
+np = lazy_numpy()
 
 
 def order_characters(orders: tuple[int, ...]) -> np.ndarray:

@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, lazy_numpy
 from .precision import RamanujanDecision, decide, mp_cos2pi_frac, mp_sinpi_frac
+
+np = lazy_numpy()
 
 if TYPE_CHECKING:
     from .abelian import AbelianGroup

@@ -1,13 +1,16 @@
 """Package layout: no module of ramcirc imports ramcirc inside a function,
-imports another module's underscore names, or imports mpmath at module
-level.
+imports another module's underscore names, or imports mpmath or numpy at
+module level.
 
 A deferred import hides an import cycle between two modules; the fix is
 to move the code that needs both into the module that already imports
 the other.  An imported underscore name is a second copy of one module's
 internals; the fix is a public name that both modules read.  mpmath is
 needed only when a margin escalates, so it is imported on those branches
-alone, and a run that never escalates never loads it.
+alone, and a run that never escalates never loads it.  numpy is needed
+only by the batched scan, the oracles and the sieves, so every module
+takes it from errors.lazy_numpy, and a run that never touches an array
+(classify, hatl, the tables) never loads it.
 """
 
 import ast
@@ -95,8 +98,10 @@ def test_no_module_imports_an_underscore_name_from_ramcirc():
     assert found == {}
 
 
-def _module_level_mpmath(source: str) -> list[int]:
-    """Line numbers of imports of mpmath outside every function body."""
+
+
+def _module_level_imports(source: str, package: str) -> list[int]:
+    """Line numbers of imports of package outside every function body."""
     tree = ast.parse(source)
     deferred = {id(node) for fn in ast.walk(tree)
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -111,7 +116,7 @@ def _module_level_mpmath(source: str) -> list[int]:
             names = [a.name for a in node.names]
         else:
             continue
-        if any(n.split(".")[0] == "mpmath" for n in names):
+        if any(n.split(".")[0] == package for n in names):
             found.append(node.lineno)
     return sorted(set(found))
 
@@ -119,21 +124,43 @@ def _module_level_mpmath(source: str) -> list[int]:
 def test_detects_each_module_level_mpmath_form():
     for body in ("import mpmath as mp", "import mpmath", "from mpmath import mpf",
                  "import math, mpmath.libmp"):
-        assert _module_level_mpmath(f"import math\n{body}\n") == [2], body
+        assert _module_level_imports(f"import math\n{body}\n", "mpmath") == [2], body
     ## a conditional or class-body import still runs when the module loads
-    assert _module_level_mpmath("if True:\n    import mpmath\n") == [2]
-    assert _module_level_mpmath("class C:\n    import mpmath\n") == [2]
-    assert _module_level_mpmath("import math\ndef f():\n    import mpmath as mp\n"
-                                "    return mp.mpf(1)\n") == []
+    assert _module_level_imports("if True:\n    import mpmath\n", "mpmath") == [2]
+    assert _module_level_imports("class C:\n    import mpmath\n", "mpmath") == [2]
+    assert _module_level_imports("import math\ndef f():\n    import mpmath as mp\n"
+                                 "    return mp.mpf(1)\n", "mpmath") == []
 
 
-def test_no_module_imports_mpmath_at_module_level():
+def _module_level_finds(package: str) -> dict[str, list[int]]:
     src = Path(ramcirc.__file__).parent
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 5
-    found = {p.name: lines for p in modules
-             if (lines := _module_level_mpmath(p.read_text()))}
-    assert found == {}
+    return {p.name: lines for p in modules
+            if (lines := _module_level_imports(p.read_text(), package))}
+
+
+def test_no_module_imports_mpmath_at_module_level():
+    assert _module_level_finds("mpmath") == {}
+
+
+def test_no_module_imports_numpy_at_module_level():
+    for body in ("import numpy as np", "import numpy", "from numpy import ndarray",
+                 "import math, numpy.linalg"):
+        assert _module_level_imports(f"import math\n{body}\n", "numpy") == [2], body
+    assert _module_level_imports('np = lazy_numpy()\n', "numpy") == []
+    assert _module_level_finds("numpy") == {}
+
+
+def _python(code: str) -> str:
+    """The stdout of a fresh interpreter that runs code with ramcirc on its path."""
+    src = str(Path(ramcirc.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_a_tie_proved_in_doubles_never_loads_mpmath():
@@ -143,10 +170,28 @@ def test_a_tie_proved_in_doubles_never_loads_mpmath():
             "from ramcirc.abelian import AbelianGroup, abelian_oracle\n"
             "assert abelian_oracle(AbelianGroup((3, 3))) == 7\n"
             "print('mpmath' in sys.modules)\n")
-    src = str(Path(ramcirc.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert _python(code) == "False\n"
+
+
+def test_numpy_loads_on_first_use():
+    ## the benchmark's set-up, then orders of kind I, II and other_composite
+    ## in [2**40, 2**64) and table1: none of them touches an array
+    code = ("import contextlib, importlib, io, sys\n"
+            "import ramcirc.cli\n"
+            "from ramcirc.classify import classify, scan_range, thresholds\n"
+            "thresholds()\n"
+            "kinds = [classify(m).kind for m in\n"
+            "         (47873730318131, 3128138740367, 2927032301120969)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    table1 = ramcirc.cli.main(['table1'])\n"
+            "print(kinds, table1, 'numpy._core' in sys.modules, 'numpy.core' in sys.modules)\n"
+            ## the batched scan is the first use
+            "print(scan_range(3, 2001) == [classify(m) for m in range(3, 2002, 2)])\n"
+            "import numpy\n"
+            "print([importlib.import_module(f'ramcirc.{name}').np is numpy\n"
+            "       for name in ('spectra', 'oracle', 'numtheory', 'classify')])\n")
+    assert _python(code).splitlines() == [
+        "['I', 'II', 'other_composite'] 0 False False",
+        "True",
+        "[True, True, True, True]",
+    ]
