@@ -43,7 +43,7 @@ from .bounds import (
     trivial_bound,
     window_margin,
 )
-from .errors import InternalInvariantError, ValidationError, lazy_numpy
+from .errors import InternalInvariantError, ValidationError, check_budget, lazy_numpy
 from .numtheory import (
     Factorization,
     is_prime,
@@ -557,6 +557,7 @@ def count_exceptionals(c: int, k_max: int) -> ExceptionalBuckets:
     """Classify k^2 + 5k + c for 4 <= k <= k_max and bucket by type."""
     if c not in C_OFFSETS:
         raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+    check_budget(k_max, "family values")
     buckets: dict[str, list[int]] = {KIND_I: [], KIND_II: [], KIND_III: []}
     for k in range(4, k_max + 1):
         v = classify(k * k + 5 * k + c)

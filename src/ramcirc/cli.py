@@ -35,7 +35,7 @@ from .classify import (
     semiprime_candidates,
     thresholds,
 )
-from .errors import BudgetExceededError, InternalInvariantError, ValidationError
+from .errors import BudgetExceededError, InternalInvariantError, ValidationError, check_budget
 from .numtheory import (
     count_p2_ratio,
     count_poly,
@@ -211,6 +211,7 @@ _MARK_OF_KIND = {KIND_I: "1", KIND_II: "2", KIND_III: "3"}
 
 
 def cmd_table3(args) -> int:
+    check_budget(args.kmax, "chart rows")
     rows, ok = [], True
     for k in range(4, args.kmax + 1):
         marks = []
@@ -398,6 +399,7 @@ def cmd_abelian(args) -> int:
 def cmd_profile(args) -> int:
     if args.samples < 1:
         raise ValidationError("need at least one sample")
+    check_budget(args.samples, "samples")
     pts = []
     for i in range(args.samples):
         x = 1.0 + (i + 0.5) / args.samples
@@ -438,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="verify by exact class maxima, read from sorted rows "
-                        "of the pair table; exit 2 if the table exceeds --budget")
+                        "of the pair table written from multiplicities; exit 2 "
+                        "if the table's (d(L) - 1) x h entries exceed --budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_hatl)
 
@@ -499,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="invariant factor chain, comma-separated")
     p.add_argument("--oracle", action="store_true",
                    help="verify by exact class maxima, read from sorted rows "
-                        "of the pair table; exit 2 if the table exceeds --budget")
+                        "of the pair table written from multiplicities; exit 2 "
+                        "if the table's (d(L) - 1) x h entries exceed --budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_abelian)
 

@@ -1,5 +1,5 @@
-"""Exception types, the default budget and the numpy import shared across
-the package.
+"""Exception types, the default budget and its gate, and the numpy import
+shared across the package.
 
 ValidationError signals bad caller input (CLI exit code 2); an
 InternalInvariantError means a structural fact the decision procedure
@@ -43,6 +43,12 @@ class BudgetExceededError(RuntimeError):
         super().__init__(
             f"enumeration needs {required} {unit}, budget is {budget}"
         )
+
+
+def check_budget(required: int, unit: str, budget: int = DEFAULT_BUDGET) -> None:
+    """Raise BudgetExceededError when required exceeds budget."""
+    if required > budget:
+        raise BudgetExceededError(required, budget, unit)
 
 
 def lazy_numpy():

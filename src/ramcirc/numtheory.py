@@ -20,10 +20,9 @@ from math import gcd, isqrt
 
 from .bounds import CPRIMES, C_OFFSETS
 from .errors import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     InternalInvariantError,
     ValidationError,
+    check_budget,
     lazy_numpy,
 )
 
@@ -263,8 +262,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit > DEFAULT_BUDGET:
-        raise BudgetExceededError(limit, DEFAULT_BUDGET, "sieve entries")
+    check_budget(limit, "sieve entries")
     return _sieve_cached(int(limit))
 
 
@@ -347,6 +345,7 @@ def family_scan(a: int, c: int, y_max: int,
     """
     if y_max < 1:
         raise ValidationError("y_max must be at least 1")
+    check_budget(y_max, "family points")
     out = []
     for y in range(1, y_max + 1):
         pt = family_eval(a, y, c)
@@ -444,8 +443,7 @@ def count_poly(coeffs, x: int, mode: str = "prime") -> int:
     """Count 1 <= k <= x with f(k) prime, or a distinct-prime semiprime."""
     if mode not in ("prime", "semiprime_distinct"):
         raise ValidationError("mode must be 'prime' or 'semiprime_distinct'")
-    if x > DEFAULT_BUDGET:
-        raise BudgetExceededError(x, DEFAULT_BUDGET, "polynomial values")
+    check_budget(x, "polynomial values")
     total = 0
     for k in range(1, x + 1):
         n = poly_eval(coeffs, k)

@@ -17,16 +17,17 @@ so its folded row holds a multiset fixed by |G| and e alone, and one
 row per order e > 1 dividing the exponent L decides every class:
 order_characters takes (0, ..., 0, L/e), the first character of that
 order in product order.  That is the d(m) - 1 proper divisors of m on
-Z_m and one row on Z_p x Z_p.  The multiset only chooses the rows; each
-row is still built from the definition and sorted.  row_table sorts
-them once per climb, keeping the smallest and the largest phases its
-classes can read, and the budget is charged for the rows x h table
-entries, built in blocks of at most spectra.BLOCK entries.  A kept set
+Z_m and one row on Z_p x Z_p.  Sorted, that row is (c - 1)/2 zeros,
+then c copies each of the folded phases L/e, 2L/e, ..., c = |G|/e, so
+row_table writes the ends its classes read from these multiplicities,
+once per climb, and builds and sorts no row; the budget is still
+charged for the (d(L) - 1) x h entries of the whole table.  A kept set
 in a proper subgroup lies in a character kernel, so T holds every pair
 outside it, at least |G|/3 pairs; below r = |G|/3 every set of the
-class generates G and the row maximum is the class maximum.  The rows,
-their cosines and their mpmath sums are spectra's phase_blocks, cos2
-and mp_abs_mu, the same kernel every eigenvalue of the package reads.
+class generates G and the row maximum is the class maximum.  Cosines
+and mpmath sums are spectra's cos2 and mp_abs_mu, and the pairs of an
+extreme set are found on phase_blocks, the kernel every eigenvalue of
+the package reads.
 
 enumerate_class is the fallback for the classes where generation can
 bind and no violating row's extreme set generates (none of those that
@@ -40,14 +41,14 @@ sets.
 
 Everything here is deliberately independent of the closed-form route:
 no window formulas, no candidate-set reasoning, no factorisation, just
-the definition of the spectrum.  The one shortcut is provable on its
-own: covalencies l <= l0 satisfy (l + 2)^2 <= 4m, hence
-mu <= l <= 2*sqrt(m - l - 1), so those classes are Ramanujan without a
-table.  A row extreme within precision.ESCALATION_MARGIN of
-2*sqrt(|G| - l - 1) is decided from its exact phases by precision.decide,
-which first asks spectra.proves_tie whether the sides of the row that
-reach its extreme tie the bound exactly; a proved tie counts as
-Ramanujan without an mpmath pass.
+the definition of the spectrum and the multiplicities of its values.
+The one shortcut is provable on its own: covalencies l <= l0 satisfy
+(l + 2)^2 <= 4m, hence mu <= l <= 2*sqrt(m - l - 1), so those classes
+are Ramanujan without a table.  A row extreme within
+precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1) is decided from its
+exact phases by precision.decide, which first asks spectra.proves_tie
+whether the sides of the row that reach its extreme tie the bound
+exactly; a proved tie counts as Ramanujan without an mpmath pass.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from .bounds import trivial_bound
 from .classify import semiprime_candidates
 from .errors import (  # DEFAULT_BUDGET stays importable from here
     DEFAULT_BUDGET,
-    BudgetExceededError,
     InternalInvariantError,
     ValidationError,
+    check_budget,
     lazy_numpy,
 )
 from .numtheory import least_prime_split
@@ -95,17 +96,15 @@ def order_characters(orders: tuple[int, ...]) -> np.ndarray:
     """One character of each order e > 1 dividing the exponent L, the first
     of that order in product order: (0, ..., 0, L/e), by e descending.
 
-    The L/e are the proper divisors of L, which the divisibility filter
-    L % d == 0 leaves of the pairs of Z_L with no loop; on Z_m they are
-    the d(m) - 1 rows (d,), on a group of rank >= 2 the same column
-    behind zeros.
+    The L/e are the proper divisors of L, found by trial division up to
+    sqrt(L); on Z_m they are the d(m) - 1 rows (d,), on a group of rank
+    >= 2 the same column behind zeros.
     """
     L = orders[-1]
-    d = np.concatenate([E[L % E[:, 0] == 0] for E in pair_blocks((L,))])
-    if len(orders) == 1:
-        return d
-    chars = np.zeros((len(d), len(orders)), dtype=d.dtype)
-    chars[:, -1:] = d
+    a = [x for x in range(1, math.isqrt(L) + 1) if L % x == 0]
+    d = sorted({*a, *(L // x for x in a)})[:-1]
+    chars = np.zeros((len(d), len(orders)), dtype=np.int64)
+    chars[:, -1] = d
     return chars
 
 
@@ -116,7 +115,8 @@ class RowTable(NamedTuple):
     spectra.pair_characters, ascending: all h of them, or the r_max
     smallest followed by the r_max largest when that is fewer.  So for
     r <= r_max its first r entries are the row's r smallest and its last
-    r the r largest.  cos is spectra.cos2 of every folded phase.
+    r the r largest, written by row_table from multiplicities.  cos is
+    spectra.cos2 of sides.
     """
 
     orders: tuple[int, ...]
@@ -137,15 +137,15 @@ class RowTable(NamedTuple):
         if r > self.r_max:
             raise ValidationError(
                 f"the table serves up to {self.r_max} removed pairs, not {r}")
-        S = self.sides
-        top = 1.0 + self.cos[S[:, :r]].sum(axis=1)
-        bottom = -(1.0 + self.cos[S[:, S.shape[1] - r:]].sum(axis=1))
+        C = self.cos
+        top = 1.0 + C[:, :r].sum(axis=1)
+        bottom = -(1.0 + C[:, C.shape[1] - r:].sum(axis=1))
         return np.maximum(top, bottom), top >= bottom
 
     def row_sides(self, i: int, r: int) -> np.ndarray:
         """The r smallest and the r largest phases of row i, as two rows:
         the sets of the class whose |mu| can be the row's absmax."""
-        s = self.sides[i].astype(np.int64)
+        s = self.sides[i]
         return np.stack([s[:r], s[len(s) - r:]])
 
     def extreme_pairs(self, i: int, r: int, from_top: bool) -> np.ndarray:
@@ -168,36 +168,26 @@ class RowTable(NamedTuple):
 def row_table(orders: tuple[int, ...], r_max: int, budget: int) -> RowTable:
     """The RowTable of the group for classes of up to r_max removed pairs.
 
-    The budget is charged for the table's (d(L) - 1) x h entries, one
-    row per order e > 1 dividing the exponent L, built in blocks of at
-    most spectra.BLOCK entries; the sorted sides kept are at most that
-    many.  Every table has the row of order L, so a group of more than
+    The sorted row of d = L/e holds d * ((i + (c + 1)//2) // c) at its
+    position i, c = |G|/e, so only the ends the classes read are written,
+    with no sort.  The budget is still charged for the table's
+    (d(L) - 1) x h entries, one row per order e > 1 dividing the exponent
+    L.  Every table has the row of order L, so a group of more than
     budget pairs is refused, with h, before the divisors of L are sought.
     """
-    h, L = (math.prod(orders) - 1) // 2, orders[-1]
-    if h > budget:
-        raise BudgetExceededError(h, budget, "table entries")
+    n = math.prod(orders)
+    h, L = (n - 1) // 2, orders[-1]
+    check_budget(h, "table entries", budget)
     chars = order_characters(orders)
-    if len(chars) * h > budget:
-        raise BudgetExceededError(len(chars) * h, budget, "table entries")
+    check_budget(len(chars) * h, "table entries", budget)
     w = min(h, r_max)
-    keep = h if 2 * w >= h else 2 * w
-    S = np.empty((len(chars), keep), dtype=np.min_scalar_type(L // 2))
-    width = 0
-    for cols in pair_blocks(orders):
-        lo = 0
-        for K in phase_blocks(orders, chars, cols):
-            hi = lo + len(K)
-            if width:
-                K = np.concatenate([S[lo:hi, :width], K], axis=1)
-            K.sort(axis=1)
-            if K.shape[1] > keep:
-                K = np.concatenate([K[:, :w], K[:, K.shape[1] - w:]], axis=1)
-            S[lo:hi, :K.shape[1]] = K
-            lo = hi
-        width = min(keep, width + len(cols))
-    return RowTable(orders, chars, S, h if keep == h else w,
-                    cos2(L, np.arange(L // 2 + 1)))
+    keep = min(h, 2 * w)
+    i = np.arange(keep)
+    i[w:] += h - keep
+    d = chars[:, -1:]
+    c = n // (L // d)
+    S = d * ((i + (c + 1) // 2) // c)
+    return RowTable(orders, chars, S, h if keep == h else w, cos2(L, S))
 
 
 def _mp_row_max(sides: np.ndarray, L: int):
@@ -276,7 +266,7 @@ def climb(group, l_max: int, budget: int, clean) -> int:
     group is Z_m's modulus or an AbelianGroup.  Classes up to
     l0 = trivial_bound(|G|) are Ramanujan outright, so the climb starts
     at l0 + 2; it returns l0 when that class is not clean.  One
-    row_table, sorted for the largest class the climb can reach, serves
+    row_table, kept for the largest class the climb can reach, serves
     every class, and clean(group, l, budget, table) decides each.
     """
     orders = group_orders(group)
@@ -307,8 +297,7 @@ def enumerate_class(group, l: int, budget: int = DEFAULT_BUDGET):
     """
     orders = group_orders(group)
     size = class_size(math.prod(orders), l)
-    if size > budget:
-        raise BudgetExceededError(size, budget)
+    check_budget(size, "subsets", budget)
     R = pair_characters(orders)
     for idx in itertools.combinations(range(len(R)), (l - 1) // 2):
         try:

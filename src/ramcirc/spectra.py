@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, ValidationError, lazy_numpy
+from .errors import DEFAULT_BUDGET, ValidationError, check_budget, lazy_numpy
 from .precision import RamanujanDecision, decide, mp_cos2pi_frac, mp_sinpi_frac
 
 np = lazy_numpy()
@@ -297,9 +297,7 @@ def eigenvalue(cayley: CayleySet, chi) -> float:
 
 def _check_budget(cayley: CayleySet) -> None:
     """Refuse a spectrum of more than DEFAULT_BUDGET cosine terms."""
-    terms = (cayley.m - 1) // 2 * cayley.covalency
-    if terms > DEFAULT_BUDGET:
-        raise BudgetExceededError(terms, DEFAULT_BUDGET, "cosine terms")
+    check_budget((cayley.m - 1) // 2 * cayley.covalency, "cosine terms")
 
 
 def spectrum(cayley: CayleySet) -> Spectrum:

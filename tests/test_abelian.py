@@ -16,6 +16,7 @@ from ramcirc.abelian import (
     pp_excess,
 )
 from ramcirc.bounds import trivial_bound
+from ramcirc.classify import classify
 from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.numtheory import sieve_primes
 from ramcirc.spectra import CayleySet, eigenvalue, is_ramanujan, spectrum
@@ -312,6 +313,23 @@ class TestOracle:
             assert math.comb((p * p - 1) // 2, (l0 + 1) // 2) > 10 ** 7
             assert abelian_oracle(AbelianGroup((p, p))) == (
                 l0 + 2 if p <= 17 else l0), p
+
+    def test_groups_of_one_order_and_exponent_share_their_rows(self):
+        ## a character of order e takes each e-th root of unity |G|/e
+        ## times, so the rows, and the answer, depend on (|G|, L) alone;
+        ## the divisors of L are among those of |G|, so no non-cyclic
+        ## group answers below Z_|G|
+        first = {}
+        for orders in odd_abelian_groups(10001):
+            if len(orders) == 1:
+                continue
+            n = math.prod(orders)
+            t = oracle.row_table(orders, (n - 1) // 2, 10**8)
+            got = (t.sides.tobytes(), t.cos.tobytes(),
+                   abelian_oracle(AbelianGroup(orders)))
+            assert got == first.setdefault((n, orders[-1]), got), orders
+            assert got[2] >= classify(n).hat_l, orders
+        assert len(first) < 1581
 
     @pytest.mark.slow
     def test_every_noncyclic_group_to_30001(self, monkeypatch):

@@ -306,6 +306,19 @@ class TestBudget:
         assert code == 2 and out == ""
         assert "budget" in err
 
+    ## the loops a user sizes are refused before their first step, one
+    ## past DEFAULT_BUDGET
+    @pytest.mark.parametrize("argv", [
+        ("table3", "--kmax", "100000001"),
+        ("count", "exceptional", "--c", "1", "--kmax", "100000001"),
+        ("family", "--a", "1", "--c", "1", "--ymax", "100000001"),
+        ("profile", "--c", "1", "--k", "10", "--samples", "100000001"),
+    ], ids=["table3", "count_exceptional", "family", "profile"])
+    def test_user_sized_loop_over_budget_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "budget" in err and "Traceback" not in err
+
 
 class TestHlconst:
     def test_reference_pass(self, capsys):

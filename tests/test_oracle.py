@@ -246,18 +246,18 @@ class TestRowTable:
         assert [(d.mu_max, d.tie_proved) for d in decisions] == [(2.0, True)]
 
     def test_blocks_merge_into_the_sorted_ends(self, monkeypatch):
-        ## with blocks of 8 entries the rows are built a few pairs at a
-        ## time and merged; the ends kept and the extreme pairs must match
-        ## the whole rows, sorted and argsorted
+        ## the sides, written from multiplicities, must match the whole
+        ## rows built from the definition and sorted, whatever the block
+        ## size; extreme_pairs walks the row in blocks, so with blocks of
+        ## 8 entries its pairs must still match the rows argsorted
         cases = [((45,), 4), ((45,), 11), ((101,), 6), ((5, 5), 3),
                  ((3, 9), 13), ((3, 3, 3), 2)]
         for orders, r_max in cases:
             want = oracle.row_table(orders, r_max, 10**6)
+            R, L = pair_characters(orders), orders[-1]
             monkeypatch.setattr(spectra, "BLOCK", 8)
             got = oracle.row_table(orders, r_max, 10**6)
-            monkeypatch.undo()
             assert np.array_equal(got.sides, want.sides), orders
-            R, L = pair_characters(orders), orders[-1]
             K = spectra.phase_table(orders, got.chars, R)
             K = np.minimum(K, L - K)
             w = min(r_max, len(R))
@@ -274,6 +274,7 @@ class TestRowTable:
                             tuple(x) for x in R[order[:r]].tolist()}, (orders, r, i)
             with pytest.raises(ValidationError):
                 got.extremes(got.r_max + 1)
+            monkeypatch.undo()
 
     def test_huge_groups_are_refused_before_any_row(self):
         ## every table has at least the row of order L, h entries
@@ -524,6 +525,18 @@ class TestHatL:
         with pytest.raises(BudgetExceededError) as e:
             hat_l_exhaustive(20003, budget=3 * 10001 - 1)
         assert e.value.required == 3 * 10001
+
+    def test_a_prime_past_2e7_in_little_memory(self):
+        ## the one row of 20000003 has 10^7 entries, but only the ends
+        ## its classes read are written, from multiplicities
+        tracemalloc.start()
+        try:
+            got = hat_l_exhaustive(20000003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == classify(20000003).hat_l
+        assert peak < 4 << 20
 
     @pytest.mark.slow
     def test_agrees_with_classifier_to_30001(self):
