@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import trivial_bound
 from .classify import Verdict, classify
@@ -39,27 +39,32 @@ KIND_PP = "prime_square_group"
 KIND_GENERIC = "noncyclic_generic"
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _AbelianGroupFields(NamedTuple):
+    orders: tuple[int, ...]
+
+
+class AbelianGroup(_AbelianGroupFields):
     """An odd abelian group given by its invariant factor chain.
 
     orders = (m1, ..., mr) with 3 <= m1 | m2 | ... | mr, all odd.  The
     chain form is canonical, so two isomorphic groups compare equal.
     """
 
-    orders: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not self.orders:
+    def __new__(cls, orders):
+        if not orders:
             raise ValidationError("a group needs at least one invariant factor")
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
-        for n in self.orders:
+        orders = tuple(int(n) for n in orders)
+        for n in orders:
             if n < 3 or n % 2 == 0:
                 raise ValidationError(f"invariant factors must be odd and >= 3, got {n}")
-        for a, b in zip(self.orders, self.orders[1:]):
+        for a, b in zip(orders, orders[1:]):
             if b % a:
                 raise ValidationError(
                     f"orders must form a divisibility chain; {a} does not divide {b}")
+        return super().__new__(cls, orders)
 
     @property
     def order(self) -> int:
@@ -135,8 +140,7 @@ def pp_excess(p: int, h: int) -> float:
     return p + (p - 3 + 2 * h) * math.cos(math.tau / p) - 2.0 * math.sqrt(arg)
 
 
-@dataclass(frozen=True)
-class AbelianVerdict:
+class AbelianVerdict(NamedTuple):
     """Outcome of the edge-removal bound for one abelian group.
 
     For cyclic groups the cyclic verdict is attached verbatim.  For

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
 from .precision import RamanujanDecision, decide
-from .spectra import check_modulus, window_eigenvalue
+from .spectra import check_modulus, window_eigenvalue, window_eigenvalue_unchecked
 
 ## admissible offsets c, their discriminants c' = 25 - 4c, and the least
 ## band index k at which each offset enters the candidate set
@@ -40,6 +40,11 @@ SMALL_WINDOW = frozenset(range(15, 30, 2))
 def trivial_bound(m: int) -> int:
     """l0(m) = 2*floor(sqrt(m) - 3/2) + 1, in exact integer arithmetic."""
     check_modulus(m)
+    return trivial_bound_unchecked(m)
+
+
+def trivial_bound_unchecked(m: int) -> int:
+    """trivial_bound for an m it would accept, unchecked."""
     return 2 * ((isqrt(4 * m) - 3) // 2) + 1
 
 
@@ -54,6 +59,12 @@ def window_margin(m: int, l: int) -> RamanujanDecision:
     at covalency l; its margin is the window margin."""
     return decide(m, l, lambda: -window_eigenvalue(m, l, 1),
                   lambda digits: -window_eigenvalue(m, l, 1, digits))
+
+
+def window_margin_unchecked(m: int, l: int) -> RamanujanDecision:
+    """window_margin for an (m, l) it would accept, unchecked."""
+    return decide(m, l, lambda: -window_eigenvalue_unchecked(m, l, 1),
+                  lambda digits: -window_eigenvalue_unchecked(m, l, 1, digits))
 
 
 def window_excess(m: int) -> float:

@@ -27,7 +27,6 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
@@ -41,7 +40,8 @@ from .bounds import (
     CandidateWitness,
     in_candidate_set,
     trivial_bound,
-    window_margin,
+    trivial_bound_unchecked,
+    window_margin_unchecked,
 )
 from .errors import InternalInvariantError, ValidationError, check_budget, lazy_numpy
 from .numtheory import (
@@ -58,7 +58,7 @@ from .precision import (
     mp_sinpi_frac,
     start_digits,
 )
-from .spectra import CayleySet, check_modulus, ramanujan_bound, window_eigenvalue
+from .spectra import CayleySet, check_modulus, ramanujan_bound, window_eigenvalue_unchecked
 
 np = lazy_numpy()
 
@@ -136,8 +136,14 @@ def semiprime_candidates(p: int, q: int, digits: int | None = None):
     if q > 4 * p - 5:
         raise ValidationError(
             f"q={q} exceeds 4p-5={4 * p - 5}; the candidate maxima do not apply")
+    check_modulus(p * q)
+    return _semiprime_candidates(p, q, digits)
+
+
+def _semiprime_candidates(p: int, q: int, digits: int | None = None):
+    """semiprime_candidates for a (p, q) it would accept, unchecked."""
     m = p * q
-    C = trivial_bound(m) + 2
+    C = trivial_bound_unchecked(m) + 2
     if digits is not None:
         import mpmath as mp
         with mp.workdps(digits):
@@ -149,7 +155,7 @@ def semiprime_candidates(p: int, q: int, digits: int | None = None):
                 mu2 = (p + 2 * p * mp_cos2pi_frac(1, q)
                        + (C - 3 * p) * mp_cos2pi_frac(2, q))
             return mu0, mu1, mu2
-    mu0 = -window_eigenvalue(m, C, 1)
+    mu0 = -window_eigenvalue_unchecked(m, C, 1)
     mu1 = q + (C - q) * math.cos(math.tau / p)
     if C <= 3 * p:
         mu2 = p + (C - p) * math.cos(math.tau / q)
@@ -157,16 +163,6 @@ def semiprime_candidates(p: int, q: int, digits: int | None = None):
         mu2 = (p + 2 * p * math.cos(math.tau / q)
                + (C - 3 * p) * math.cos(2 * math.tau / q))
     return mu0, mu1, mu2
-
-
-def _normalize_factors(m: int, factors) -> Factorization:
-    if isinstance(factors, Factorization):
-        fac = factors
-    else:
-        fac = Factorization.from_primes(m, factors)
-    if fac.n != m:
-        raise ValidationError("supplied factorisation does not match m")
-    return fac
 
 
 def _near_threshold(p: int, q: int, c: int | None) -> bool | None:
@@ -185,15 +181,15 @@ def classify(m: int, factors=None) -> Verdict:
     or an iterable of primes with multiplicity); it is required above
     2**64 where the built-in factoriser refuses.  Orders m <= 13 and
     orders outside the candidate set carry the shared witness NOT_IN_J.
+    in_candidate_set checks m, once; every later step takes it unchecked.
     """
-    check_modulus(m)
-    l0 = trivial_bound(m)
+    w = in_candidate_set(m)
+    l0 = trivial_bound_unchecked(m)
     if m <= 13:
         return Verdict(m, l0, NOT_IN_J, KIND_SMALL,
                        VERDICT_ALL_RAMANUJAN, None, m - 2)
-    w = in_candidate_set(m)
     if not w.member:
-        d = window_margin(m, l0 + 2)
+        d = window_margin_unchecked(m, l0 + 2)
         if d.margin >= 0:
             raise InternalInvariantError(
                 f"positive window excess expected outside the candidate set, m={m}")
@@ -207,13 +203,16 @@ def classify(m: int, factors=None) -> Verdict:
                 "orders at or above 2**64 need an explicit factorisation")
         p, t_prime = least_prime_split(m)
     else:
-        fac = _normalize_factors(m, factors)
+        fac = (factors if isinstance(factors, Factorization)
+               else Factorization.from_primes(m, factors))
+        if fac.n != m:
+            raise ValidationError("supplied factorisation does not match m")
         p = fac.factors[0][0]
         t_prime = len(fac.prime_list()) == 2
     t = m // p
 
     if t == 1:
-        d = window_margin(m, l0 + 2)
+        d = window_margin_unchecked(m, l0 + 2)
         if d.margin < 0:
             raise InternalInvariantError(
                 f"prime candidate {m} shows a positive window excess")
@@ -230,8 +229,8 @@ def classify(m: int, factors=None) -> Verdict:
     ## from here on, m = p*t is a distinct semiprime exactly when t is prime
     if t_prime and t <= 4 * p - 5:
         q = t
-        d = decide(m, l0 + 2, lambda: max(semiprime_candidates(p, q)),
-                   lambda digits: max(semiprime_candidates(p, q, digits=digits)))
+        d = decide(m, l0 + 2, lambda: max(_semiprime_candidates(p, q)),
+                   lambda digits: max(_semiprime_candidates(p, q, digits)))
         return Verdict(
             m, l0, w, KIND_II,
             VERDICT_EXCEPTIONAL if d.is_ramanujan else VERDICT_ORDINARY,
@@ -254,8 +253,7 @@ def classify(m: int, factors=None) -> Verdict:
                    mu_hat=float(l0 + 2), rb=rb, margin=rb - (l0 + 2))
 
 
-@dataclass(frozen=True)
-class OrdinaryWitness:
+class OrdinaryWitness(NamedTuple):
     """A complement packed into multiples of p with an exact eigenvalue.
 
     At index j = m/p every removed residue contributes 1, so the
@@ -312,8 +310,7 @@ def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """Analytic constants controlling the ratio x = sqrt(q/p) in (1, 2).
 
     gamma1..gamma4 are the roots in (1, 2) of four fixed cubics/sextics
@@ -366,8 +363,7 @@ REGIME_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class SpectralOrdering:
+class SpectralOrdering(NamedTuple):
     p: int
     q: int
     c: int
@@ -416,8 +412,7 @@ def spectral_ordering(p: int, q: int, c: int | None = None) -> SpectralOrdering:
 
 ## ----------------------------------------------------------------- profiles
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(NamedTuple):
     """Asymptotic candidate maxima along the ratio x = sqrt(q/p)."""
 
     c: int
@@ -542,8 +537,7 @@ def rho_e(x: int) -> int:
     return len(exceptional_orders(x))
 
 
-@dataclass(frozen=True)
-class ExceptionalBuckets:
+class ExceptionalBuckets(NamedTuple):
     """k values (4 <= k <= k_max) whose family value is exceptional."""
 
     c: int

@@ -322,9 +322,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_family(args) -> int:
     points = family_scan(args.a, args.c, args.ymax, require_prime=args.prime_only)
-    payload = [{"a": pt.a, "y": pt.y, "c": pt.c, "p": pt.p, "q": pt.q,
-                "k": pt.k, "m": pt.m, "ratio_sqrt": pt.ratio_sqrt}
-               for pt in points]
+    payload = [{**pt._asdict(), "m": pt.m, "ratio_sqrt": pt.ratio_sqrt} for pt in points]
     lines = [f"y={pt.y:<5d} p={pt.p} q={pt.q} k={pt.k} m={pt.m} "
              f"sqrt(q/p)={_fmt(pt.ratio_sqrt)}" for pt in points]
     lines.append(f"{len(points)} points (a={args.a}, c={args.c}, "
@@ -370,8 +368,7 @@ def cmd_hlconst(args) -> int:
                      f"{'PASS' if ok else 'FAIL'}")
     else:
         lines.append("reference comparison skipped (needs --plimit >= 10^6)")
-    _emit(args, {"c": args.c, "value": est.value, "oscillation": est.oscillation,
-                 "prime_limit": est.prime_limit, "reference": expected,
+    _emit(args, {"c": args.c, **est._asdict(), "reference": expected,
                  "pass": ok if compared else None}, lines)
     return 0 if ok else 3
 
@@ -379,8 +376,7 @@ def cmd_hlconst(args) -> int:
 def cmd_abelian(args) -> int:
     group = AbelianGroup(tuple(_int_list(args.orders)))
     v = abelian_hat_l(group)
-    payload = v.to_json_dict()
-    payload["oracle"] = None
+    payload = {**v.to_json_dict(), "oracle": None}
     lines = [f"group = Z{list(group.orders)} (order {group.order})",
              f"l0 = {v.l0}",
              f"kind = {v.kind}" + (f" (h* = {v.h_star})" if v.h_star else ""),
@@ -436,12 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.set_defaults(func=cmd_classify)
 
+    oracle_help = ("verify by exact class maxima, read from sorted rows of the pair "
+                   "table written from multiplicities; exit 2 if the table's "
+                   "(d(L) - 1) x h entries exceed --budget")
     p = sub.add_parser("hatl", help="edge-removal bound for one odd order")
     p.add_argument("m", type=int)
-    p.add_argument("--oracle", action="store_true",
-                   help="verify by exact class maxima, read from sorted rows "
-                        "of the pair table written from multiplicities; exit 2 "
-                        "if the table's (d(L) - 1) x h entries exceed --budget")
+    p.add_argument("--oracle", action="store_true", help=oracle_help)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_hatl)
 
@@ -500,10 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abelian", help="edge-removal bound for an abelian group")
     p.add_argument("--orders", required=True, metavar="LIST",
                    help="invariant factor chain, comma-separated")
-    p.add_argument("--oracle", action="store_true",
-                   help="verify by exact class maxima, read from sorted rows "
-                        "of the pair table written from multiplicities; exit 2 "
-                        "if the table's (d(L) - 1) x h entries exceed --budget")
+    p.add_argument("--oracle", action="store_true", help=oracle_help)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_abelian)
 
@@ -521,10 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
+    except (ValidationError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

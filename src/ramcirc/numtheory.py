@@ -14,9 +14,9 @@ Pollard rho, proving each prime it meets once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .bounds import CPRIMES, C_OFFSETS
 from .errors import (
@@ -116,17 +116,22 @@ def _large_primes(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _FactorizationFields(NamedTuple):
     n: int
     factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
 
-    def __post_init__(self):
+
+class Factorization(_FactorizationFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, n, factors):
         prod = 1
-        for p, e in self.factors:
+        for p, e in factors:
             prod *= p ** e
-        if prod != self.n:
+        if prod != n:
             raise ValidationError("factor list does not multiply back to n")
+        return super().__new__(cls, n, factors)
 
     @classmethod
     def from_primes(cls, n: int, primes) -> "Factorization":
@@ -139,10 +144,7 @@ class Factorization:
         return cls(n, tuple(sorted(counts.items())))
 
     def prime_list(self) -> list[int]:
-        out = []
-        for p, e in self.factors:
-            out.extend([p] * e)
-        return out
+        return [p for p, e in self.factors for _ in range(e)]
 
     @property
     def is_prime(self) -> bool:
@@ -161,22 +163,19 @@ def factorize(n: int) -> Factorization:
         raise ValidationError("factorisation is limited to 64-bit inputs")
     factors: dict[int, int] = {}
     ## g holds the small primes that divide n and are not yet divided out
-    g = gcd(n, _SMALL_PRODUCT)
+    rest, g = n, gcd(n, _SMALL_PRODUCT)
     for p in _SMALL_PRIMES:
         if g == 1:
             break
         if g % p == 0:
             g //= p
-            while n % p == 0:
+            while rest % p == 0:
                 factors[p] = factors.get(p, 0) + 1
-                n //= p
-    if n > 1:
-        for q in _large_primes(n):
+                rest //= p
+    if rest > 1:
+        for q in _large_primes(rest):
             factors[q] = factors.get(q, 0) + 1
-    total = 1
-    for q, e in factors.items():
-        total *= q ** e
-    return Factorization(total, tuple(sorted(factors.items())))
+    return Factorization(n, tuple(sorted(factors.items())))
 
 
 def least_prime_factor(n: int) -> int:
@@ -281,8 +280,7 @@ def isqrt_array(x: np.ndarray) -> np.ndarray:
 
 ## ---------------------------------------------------------------- families
 
-@dataclass(frozen=True)
-class FamilyPoint:
+class FamilyPoint(NamedTuple):
     """One member of the two-parameter family of semiprime candidates.
 
     For every a >= 1, y and admissible c the three integer polynomials
@@ -375,8 +373,7 @@ def root_count_mod_p(p: int, coeffs) -> int:
     return sum(1 for x in range(p) if poly_eval(cs, x) % p == 0)
 
 
-@dataclass(frozen=True)
-class SeriesEstimate:
+class SeriesEstimate(NamedTuple):
     value: float
     oscillation: float
     prime_limit: int

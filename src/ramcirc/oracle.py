@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -307,8 +306,7 @@ def enumerate_class(group, l: int, budget: int = DEFAULT_BUDGET):
         yield s
 
 
-@dataclass(frozen=True)
-class ClassMax:
+class ClassMax(NamedTuple):
     """Largest |mu_j| over a whole complement class, with its witness."""
 
     m: int
@@ -422,8 +420,7 @@ def _unit_orbit_match(witness: CayleySet, target: CayleySet) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     """Closed-form class maximum vs the exhaustive scan for m = p*q."""
 
     m: int

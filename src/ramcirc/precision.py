@@ -17,7 +17,7 @@ mpmath is imported only on the branches that use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 
@@ -73,8 +73,7 @@ def refine_margin(margin_fn, digits: int, scale=1.0):
         digits = min(2 * digits, MAX_DIGITS)
 
 
-@dataclass(frozen=True)
-class RamanujanDecision:
+class RamanujanDecision(NamedTuple):
     is_ramanujan: bool
     mu_max: float
     rb: float

@@ -25,8 +25,7 @@ and counts as Ramanujan; no precision would ever resolve it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget, lazy_numpy
 from .precision import RamanujanDecision, decide, mp_cos2pi_frac, mp_sinpi_frac
@@ -189,8 +188,12 @@ def _reduced(group, items: list, sign: int = 1) -> list:
     return [tuple(sign * int(c) % n for c, n in zip(x, orders)) for x in items]
 
 
-@dataclass(frozen=True)
-class CayleySet:
+class _CayleySetFields(NamedTuple):
+    group: int | AbelianGroup
+    complement: frozenset
+
+
+class CayleySet(_CayleySetFields):
     """A symmetric connection set of an odd abelian group via its complement.
 
     group is an odd modulus m >= 3, for Z_m with int residues in [0, m),
@@ -200,16 +203,16 @@ class CayleySet:
     elements generate G.
     """
 
-    group: int | AbelianGroup
-    complement: frozenset
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        t = frozenset(self.complement)
-        object.__setattr__(self, "complement", t)
+    def __new__(cls, group, complement):
+        self = super().__new__(cls, group, frozenset(complement))
+        t = self.complement
         ## negation maps t onto itself exactly when t is canonical and closed
-        if set(_reduced(self.group, t, -1)) != t:
+        if set(_reduced(group, t, -1)) != t:
             raise ValidationError("complement must be canonical and closed under negation")
-        if (0 if isinstance(self.group, int) else self.group.identity) not in t:
+        if (0 if isinstance(group, int) else group.identity) not in t:
             raise ValidationError("complement must contain the identity")
         m, l = self.m, len(t)
         check_covalency(m, l)
@@ -226,6 +229,7 @@ class CayleySet:
                  phase_blocks(orders, chars, self._removed_reps())])
             if np.any(2 * outside == m - kernel):
                 raise ValidationError("kept elements do not generate the group")
+        return self
 
     @classmethod
     def from_residues(cls, group: int | AbelianGroup, residues) -> CayleySet:
@@ -268,8 +272,7 @@ class CayleySet:
                      self.orders)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     m: int
     valency: int
     values: tuple[float, ...]
@@ -330,6 +333,11 @@ def window_eigenvalue(m: int, l: int, j: int, digits: int | None = None):
     check_covalency(m, l)
     if not 1 <= j <= m - 1:
         raise ValidationError("index j must lie in [1, m-1]")
+    return window_eigenvalue_unchecked(m, l, j, digits)
+
+
+def window_eigenvalue_unchecked(m: int, l: int, j: int, digits: int | None = None):
+    """window_eigenvalue for an (m, l, j) it would accept, unchecked."""
     if digits is not None:
         import mpmath as mp
         with mp.workdps(digits):

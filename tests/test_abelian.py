@@ -34,6 +34,22 @@ class TestGroup:
         with pytest.raises(ValidationError):
             AbelianGroup((5, 3))
 
+    def test_orders_become_ints(self):
+        for orders in ([3, 9], [np.int64(3), np.int64(9)]):
+            g = AbelianGroup(orders)
+            assert g.orders == (3, 9)
+            assert all(type(n) is int for n in g.orders)
+            assert AbelianGroup._make([orders]) == g
+
+    def test_replace_and_make_check_the_chain(self):
+        g = AbelianGroup((3, 9))
+        for bad in ((), (4,), (3, 5), (5, 3)):
+            with pytest.raises(ValidationError):
+                g._replace(orders=bad)
+            with pytest.raises(ValidationError):
+                AbelianGroup._make([bad])
+        assert g._replace(orders=[np.int64(5)]).orders == (5,)
+
     def test_structure(self):
         g = AbelianGroup((3, 9))
         assert g.order == 27

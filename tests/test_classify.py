@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramcirc import golden, precision
+from ramcirc.abelian import AbelianGroup, abelian_hat_l
 from ramcirc.bounds import (
     C_OFFSETS,
     K_MIN,
@@ -19,12 +20,17 @@ from ramcirc.bounds import (
     CandidateWitness,
     in_candidate_set,
     trivial_bound,
+    window_margin,
 )
 from ramcirc.classify import (
     _SCAN_CHUNK,
     REGIME_ORDERS,
+    ProfilePoint,
+    SpectralOrdering,
+    Thresholds,
     Verdict,
     classify,
+    count_exceptionals,
     exceptional_orders,
     ordinary_witness,
     profile_point,
@@ -35,9 +41,10 @@ from ramcirc.classify import (
     thresholds,
 )
 from ramcirc.errors import ValidationError
-from ramcirc.numtheory import factorize, family_eval, is_prime
-from ramcirc.precision import AUTO_EXTENDED_THRESHOLD
-from ramcirc.spectra import eigenvalue, spectrum
+from ramcirc.numtheory import Factorization, SeriesEstimate, factorize, family_eval, is_prime
+from ramcirc.oracle import ClassMax, CrosscheckReport
+from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, RamanujanDecision
+from ramcirc.spectra import CayleySet, Spectrum, check_modulus, eigenvalue, spectrum
 
 
 class TestSmallOrderTable:
@@ -523,3 +530,101 @@ class TestVerdictRecord:
             assert type(back) is Verdict and type(back.witness) is CandidateWitness
         back = pickle.loads(pickle.dumps(NOT_IN_J))
         assert back == NOT_IN_J and type(back) is CandidateWitness
+
+
+def _records():
+    """One instance of each frozen record type, with its repr at the time
+    the records were dataclasses."""
+    z15 = CayleySet.from_pairs(15, [1, 2, 3])
+    z15_repr = "CayleySet(group=15, complement=frozenset({0, 1, 2, 3, 12, 13, 14}))"
+    return [
+        (AbelianGroup((3, 9)), "AbelianGroup(orders=(3, 9))"),
+        (abelian_hat_l(AbelianGroup((5, 5))),
+         "AbelianVerdict(group=AbelianGroup(orders=(5, 5)), l0=7, kind='prime_square_group', "
+         "verdict='exceptional', epsilon=4, hat_l=11, h_star=3, cyclic=None)"),
+        (CayleySet.from_pairs(AbelianGroup((3, 3)), [(1, 0)]),
+         "CayleySet(group=AbelianGroup(orders=(3, 3)), "
+         "complement=frozenset({(1, 0), (2, 0), (0, 0)}))"),
+        (Spectrum(5, 2, (2.0, 0.5), 0.5, 2.0),
+         "Spectrum(m=5, valency=2, values=(2.0, 0.5), mu_max=0.5, rb=2.0)"),
+        (RamanujanDecision(True, 1.5, 2.0, 0.5, escalated=False),
+         "RamanujanDecision(is_ramanujan=True, mu_max=1.5, rb=2.0, margin=0.5, "
+         "escalated=False, digits=None, resolved=True, tie_proved=False)"),
+        (Factorization(12, ((2, 2), (3, 1))), "Factorization(n=12, factors=((2, 2), (3, 1)))"),
+        (family_eval(1, 7, 1), "FamilyPoint(a=1, y=7, c=1, p=163, q=277, k=210)"),
+        (SeriesEstimate(0.5, 0.25, 100),
+         "SeriesEstimate(value=0.5, oscillation=0.25, prime_limit=100)"),
+        (ClassMax(15, 7, 4.5, 5.0, z15),
+         f"ClassMax(m=15, l=7, mu=4.5, rb=5.0, witness={z15_repr})"),
+        (CrosscheckReport(15, 3, 5, 7, 4.5, 4.5, 0.0, 5.0, "window", True, z15),
+         "CrosscheckReport(m=15, p=3, q=5, l=7, mu_closed=4.5, mu_exhaustive=4.5, delta=0.0, "
+         f"rb=5.0, family='window', agrees=True, witness={z15_repr})"),
+        (ordinary_witness(33),
+         "OrdinaryWitness(cayley=CayleySet(group=33, complement=frozenset("
+         "{0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30})), index=11, value=11)"),
+        (Thresholds(1.25, 1.5, 1.75, 1.875, {1: 1.5}, {1: 1.25}, {1: 1.75},
+                    1.25, 1.75, 1.5625, 3.0625),
+         "Thresholds(gamma1=1.25, gamma2=1.5, gamma3=1.75, gamma4=1.875, gamma5={1: 1.5}, "
+         "xbar1={1: 1.25}, xunder2={1: 1.75}, x1=1.25, x2=1.75, xi1=1.5625, xi2=3.0625)"),
+        (SpectralOrdering(23, 37, 1, 1.25, 2, REGIME_ORDERS[2], REGIME_ORDERS[2], True),
+         "SpectralOrdering(p=23, q=37, c=1, x=1.25, regime=2, "
+         "predicted=('mu1', 'mu0', 'mu2', 'rb'), computed=('mu1', 'mu0', 'mu2', 'rb'), "
+         "matches=True)"),
+        (ProfilePoint(1, 7, 1.25, 10.0, 9.0, 8.0, 12.0, -2.0, -3.0, -4.0),
+         "ProfilePoint(c=1, k=7, x=1.25, mu0=10.0, mu1=9.0, mu2=8.0, rb=12.0, "
+         "d0=-2.0, d1=-3.0, d2=-4.0)"),
+        (count_exceptionals(1, 12),
+         "ExceptionalBuckets(c=1, k_max=12, type_i=(4, 6, 9, 10), type_ii=(), type_iii=())"),
+    ]
+
+
+class TestRecords:
+    """Every other record is a NamedTuple too: the reprs of the former
+    dataclasses are kept, == is tuple equality, and no field can be set."""
+
+    def test_one_of_each_record_type(self):
+        records = _records()
+        assert len({type(r) for r, _ in records}) == len(records) == 15
+
+    @pytest.mark.parametrize("record, text", _records(),
+                             ids=[type(r).__name__ for r, _ in _records()])
+    def test_repr_equality_and_no_assignment(self, record, text):
+        assert repr(record) == text
+        assert record == tuple(record)
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+
+
+class TestModulusCheckedOnce:
+    """classify checks m once, in in_candidate_set, and hands it to
+    unchecked helpers; the public trivial_bound, window_margin and
+    semiprime_candidates keep their checks."""
+
+    @staticmethod
+    def _checks(fn, *args) -> int:
+        code, calls = check_modulus.__code__, []
+        sys.setprofile(lambda frame, event, arg:
+                       calls.append(1) if event == "call" and frame.f_code is code else None)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    @pytest.mark.parametrize("m, kind", [
+        (9, "small"), (101, "I"), (47873730318131, "I"), (15, "II"),
+        (3128138740367, "II"), (25, "III"), (45, "outside_J"),
+        (85, "other_composite"), (2927032301120969, "other_composite")])
+    def test_one_check_per_classify(self, m, kind):
+        assert classify(m).kind == kind
+        assert self._checks(classify, m) == 1
+
+    def test_public_helpers_still_check(self):
+        for fn, args in ((trivial_bound, (8,)), (in_candidate_set, (1,)),
+                         (window_margin, (9, 8)), (semiprime_candidates, (3.0, 5.0))):
+            with pytest.raises(ValidationError):
+                fn(*args)
+        assert self._checks(trivial_bound, 45) == self._checks(in_candidate_set, 45) == 1

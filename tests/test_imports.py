@@ -1,6 +1,6 @@
 """Package layout: no module of ramcirc imports ramcirc inside a function,
-imports another module's underscore names, or imports mpmath or numpy at
-module level.
+imports another module's underscore names, or imports mpmath, numpy or
+dataclasses at module level.
 
 A deferred import hides an import cycle between two modules; the fix is
 to move the code that needs both into the module that already imports
@@ -10,7 +10,10 @@ needed only when a margin escalates, so it is imported on those branches
 alone, and a run that never escalates never loads it.  numpy is needed
 only by the batched scan, the oracles and the sieves, so every module
 takes it from errors.lazy_numpy, and a run that never touches an array
-(classify, hatl, the tables) never loads it.
+(classify, hatl, the tables) never loads it.  Records are NamedTuples,
+not dataclasses: dataclasses imports inspect (and with it ast, dis and
+tokenize) and exec-generates the methods of every class it decorates,
+which together cost a start-up about a fifth of its time.
 """
 
 import ast
@@ -152,6 +155,12 @@ def test_no_module_imports_numpy_at_module_level():
     assert _module_level_finds("numpy") == {}
 
 
+def test_no_module_imports_dataclasses():
+    for body in ("from dataclasses import dataclass", "import dataclasses"):
+        assert _module_level_imports(f"import math\n{body}\n", "dataclasses") == [2], body
+    assert _module_level_finds("dataclasses") == {}
+
+
 def _python(code: str) -> str:
     """The stdout of a fresh interpreter that runs code with ramcirc on its path."""
     src = str(Path(ramcirc.__file__).parent.parent)
@@ -171,6 +180,16 @@ def test_a_tie_proved_in_doubles_never_loads_mpmath():
             "assert abelian_oracle(AbelianGroup((3, 3))) == 7\n"
             "print('mpmath' in sys.modules)\n")
     assert _python(code) == "False\n"
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    ## the benchmark's set-up
+    code = ("import sys\n"
+            "import ramcirc.cli\n"
+            "from ramcirc.classify import thresholds\n"
+            "thresholds()\n"
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n")
+    assert _python(code) == "[]\n"
 
 
 def test_numpy_loads_on_first_use():

@@ -141,6 +141,16 @@ class TestPrimality:
         with pytest.raises(ValidationError):
             Factorization.from_primes(45, [3, 15])
 
+    def test_every_constructor_checks_the_product(self):
+        fac = Factorization(12, ((2, 2), (3, 1)))
+        for build in (lambda: Factorization(12, ((2, 1),)),
+                      lambda: fac._replace(n=13),
+                      lambda: fac._replace(factors=((2, 1),)),
+                      lambda: Factorization._make((12, ((2, 1),)))):
+            with pytest.raises(ValidationError):
+                build()
+        assert fac._replace(n=18, factors=((2, 1), (3, 2))) == Factorization(18, ((2, 1), (3, 2)))
+
 
 def korselt(n: int) -> bool:
     """Korselt's criterion: n is a Carmichael number."""

@@ -84,6 +84,18 @@ class TestCayleySet:
         with pytest.raises(ValidationError):
             CayleySet.from_pairs(9, [1, 2, 3, 4])
 
+    def test_every_constructor_freezes_and_checks(self):
+        s = CayleySet(15, [0, 1, 14])
+        assert type(s.complement) is frozenset and s == CayleySet.from_pairs(15, [1])
+        ## not closed under negation; not generating Z_9
+        for group, bad in ((15, {0, 1, 2}), (9, {0, 1, 2, 4, 5, 7, 8})):
+            for build in (lambda: CayleySet(group, bad),
+                          lambda: s._replace(group=group, complement=bad),
+                          lambda: CayleySet._make((group, bad))):
+                with pytest.raises(ValidationError):
+                    build()
+        assert type(s._replace(complement=[0, 2, 13]).complement) is frozenset
+
 
 class TestSpectrum:
     @given(cayley_sets())
