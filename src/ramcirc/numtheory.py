@@ -3,12 +3,16 @@ that generate semiprime candidates, and the counting functions behind the
 census experiments.
 
 Primality is trial division by the primes up to 37, then a
-deterministic Miller-Rabin over Sinclair's seven bases, valid for every
-input below 2**64.  Factorisation, the least prime factor and
+deterministic Miller-Rabin whose bases are sized to n: (2, 7, 61) below
+4,759,123,141 and the first six primes below 3,474,749,660,383, the
+least strong pseudoprimes to those sets (Jaeschke 1993), and Sinclair's
+seven bases up to 2**64.  Factorisation, the least prime factor and
 least_prime_split share one trial-division table, the primes below 1000,
 and one gcd against their product skips it for an input none of them
 divides; what is left is split with Brent's cycle-finding variant of
-Pollard rho, proving each prime it meets once.
+Pollard rho, proving each prime it meets once.  least_prime_split reads
+the cofactor's primality from that one gcd wherever the cofactor holds a
+table prime, and runs Miller-Rabin only on a cofactor free of them.
 """
 
 from __future__ import annotations
@@ -30,18 +34,29 @@ np = lazy_numpy()
 
 ## is_prime trial-divides by these before its Miller-Rabin rounds
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-## Sinclair's bases: reduced mod n, deterministic below 2**64 (checked
-## against Feitsma's list of base-2 strong pseudoprimes)
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+## Miller-Rabin bases by size of n: each set is deterministic below its
+## bound, the least strong pseudoprime to all of its bases (Jaeschke
+## 1993); Sinclair's bases, reduced mod n, are deterministic below 2**64
+## (checked against Feitsma's list of base-2 strong pseudoprimes)
+_MR_TIERS = ((4759123141, (2, 7, 61)),
+             (3474749660383, (2, 3, 5, 7, 11, 13)),
+             (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)))
 
 ## the trial-division table: every prime below 1000, and their product
 _SMALL_PRIMES = (2,) + tuple(p for p in range(3, 1000, 2)
                              if all(p % d for d in range(3, isqrt(p) + 1, 2)))
+_SMALL_SET = frozenset(_SMALL_PRIMES)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2**64."""
+    """Deterministic primality for 0 <= n < 2**64.
+
+    Trial division by the primes up to 37, then strong-probable-prime
+    rounds to the bases (2, 7, 61) below 4,759,123,141, the first six
+    primes below 3,474,749,660,383 (Jaeschke 1993), and Sinclair's seven
+    bases above.
+    """
     if not isinstance(n, int) or n < 0 or n >= 1 << 64:
         raise ValidationError("primality testing is limited to 64-bit inputs")
     if n < 2:
@@ -54,7 +69,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in next(b for bound, b in _MR_TIERS if n < bound):
         a %= n
         if a == 0:
             continue
@@ -181,36 +196,44 @@ def factorize(n: int) -> Factorization:
 def least_prime_factor(n: int) -> int:
     """The least prime factor of 2 <= n < 2**64.
 
-    Only an n that is composite with no prime factor below 1000 is
-    factorised; the others take one gcd, then a scan of the table or
-    one primality test.
+    Only an n with no prime factor below 1000 is factorised; the others
+    take one gcd and at most a scan of the table.
     """
-    return _least_prime(n)[0]
+    p = _least_small(n)[1]
+    return p or min(_large_primes(n))
 
 
 def least_prime_split(n: int) -> tuple[int, bool]:
     """The least prime factor p of 2 <= n < 2**64, and whether n/p is prime.
 
-    A p below 1000 costs one primality test of the cofactor; otherwise
-    the cofactor's primality is read from the prime factors that proved
-    n prime or split it, so no prime is proven twice.
+    For p below 1000 the one gcd g of n with the table product decides
+    the cofactor t = n/p whenever t holds a table prime, that is when
+    g != p or p divides t: then t is prime exactly when it is a table
+    prime.  Only a t free of table primes takes a primality test.  For
+    larger p, t's primality is read from the prime factors that proved n
+    prime or split it, so no prime is proven twice.
     """
-    p, primes = _least_prime(n)
-    if primes is None:
-        return p, is_prime(n // p)
-    return p, len(primes) == 2
+    g, p = _least_small(n)
+    if not p:
+        primes = _large_primes(n)
+        return min(primes), len(primes) == 2
+    t = n // p
+    if g != p or t % p == 0:
+        return p, t in _SMALL_SET
+    return p, is_prime(t)
 
 
-def _least_prime(n: int) -> tuple[int, list[int] | None]:
-    """The least prime factor of n, with n's prime factors when it has
-    none below 1000 (None otherwise)."""
+def _least_small(n: int) -> tuple[int, int]:
+    """g = gcd(n, product of the table primes) and the least table prime
+    dividing n, 0 when there is none, for 2 <= n < 2**64."""
     if not isinstance(n, int) or n < 2 or n >= 1 << 64:
         raise ValidationError("least prime factors are limited to 2 <= n < 2**64")
     g = gcd(n, _SMALL_PRODUCT)
-    if g > 1:
-        return next(p for p in _SMALL_PRIMES if g % p == 0), None
-    primes = _large_primes(n)
-    return min(primes), primes
+    if g == 1:
+        return g, 0
+    if g in _SMALL_SET:
+        return g, g
+    return g, next(p for p in _SMALL_PRIMES if g % p == 0)
 
 
 def jacobi(a: int, n: int) -> int:

@@ -232,6 +232,32 @@ class TestLeastPrimeRoute:
             total += len(proven)
         assert total > 100
 
+    def test_table_prime_cofactor_needs_no_test(self, monkeypatch):
+        ## with p below 1000 the gcd that found p also shows whether the
+        ## cofactor t = m/p holds a table prime, and then t is prime
+        ## exactly when it is one: only a t free of them is tested
+        numtheory = importlib.import_module("ramcirc.numtheory")
+        prove = numtheory.is_prime
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return prove(n)
+
+        sample = []
+        for m in _j_sample(17, 500):
+            p = factorize(m).factors[0][0]
+            if p < 1000:
+                t = m // p
+                sample.append((m, factorize(t).factors[0][0] < 1000))
+        assert sum(held for _, held in sample) > 50
+        assert sum(not held for _, held in sample) > 50
+        monkeypatch.setattr(numtheory, "is_prime", counting)
+        for m, held in sample:
+            calls.clear()
+            classify(m)
+            assert len(calls) == (0 if held else 1), (m, calls)
+
 
 class TestSemiprimeCandidates:
     def test_values_at_35(self):

@@ -88,9 +88,11 @@ class TestPrimality:
     def test_strong_pseudoprimes_rejected(self):
         ## composite survivors of small witness sets: the least strong
         ## pseudoprime to all of the first k prime bases, for k = 1 to 11
-        ## (k = 7, 8 share one, and k = 9 to 11 another)
+        ## (k = 7, 8 share one, and k = 9 to 11 another), and the least
+        ## to the bases 2, 7 and 61, 4759123141 = 48781 * 97561
         for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
-                  3474749660383, 341550071728321, 3825123056546413051):
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  4759123141):
             assert not twelve_base_prime(n)
             assert not is_prime(n)
 
@@ -108,6 +110,14 @@ class TestPrimality:
         assert 14089 in divisors
         for n in divisors:
             assert is_prime(n) == twelve_base_prime(n), n
+
+    def test_base_set_edges(self):
+        ## is_prime switches base sets at these two bounds, each the least
+        ## strong pseudoprime to the smaller set
+        assert 48781 * 97561 == 4759123141
+        for edge in (4759123141, 3474749660383):
+            for n in range(edge - 10 ** 4, edge + 10 ** 4 + 1, 2):
+                assert is_prime(n) == twelve_base_prime(n), n
 
     def test_largest_odd_below_2_64(self):
         for n in range(2 ** 64 - 1, 2 ** 64 - 4001, -2):
@@ -171,7 +181,9 @@ class TestLeastPrimeFactor:
         ## least prime factor and one primality test instead of factorize
         for n in range(2, 10 ** 5):
             fac = factorize(n)
-            assert least_prime_factor(n) == fac.factors[0][0], n
+            p = fac.factors[0][0]
+            assert least_prime_factor(n) == p, n
+            assert least_prime_split(n) == (p, is_prime(n // p)), n
             assert is_distinct_semiprime(n) == (fac.distinct_semiprime is not None), n
 
     def test_no_prime_factor_below_1000(self):
