@@ -11,10 +11,10 @@ covalency 5 are empty once connectivity is enforced), Z_p x Z_p gains
 one extra step for p in {7, 11, 13, 17} and two for p = 5, and every
 other non-cyclic group is ordinary with hat_l = l0.  abelian_oracle
 checks this on a group of any order with ramcirc.oracle.climb, which
-reads each class maximum off one sorted row per character order, a row
-per divisor e > 1 of the exponent L (one on Z_p x Z_p), written from
-the multiplicities of the character's values with no sort; the budget
-still charges (d(L) - 1) x h entries, h = (|G| - 1)/2.
+reads each class maximum off the sorted row of (0, ..., 0, d) for each
+proper divisor d of the exponent L (one row on Z_p x Z_p), written from
+the multiplicities of its values with no sort; the budget still charges
+(d(L) - 1) x h entries, h = (|G| - 1)/2.
 
 Cayley sets, spectra and the Ramanujan predicate are ramcirc.spectra's,
 whose CayleySet takes an AbelianGroup; abelian_is_ramanujan is
@@ -212,9 +212,9 @@ def abelian_oracle(group: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
     first class containing a valid (connected) violator; a class left
     empty by the connectivity requirement passes vacuously.  Every class
     reads one oracle.row_table, a sorted row of h = (|G| - 1)/2 entries
-    per order e > 1 dividing the exponent L (one row on Z_p x Z_p),
-    written from multiplicities with no sort; the budget is still charged
-    (d(L) - 1) x h entries.  A table of more than budget entries, or a
+    per proper divisor of the exponent L, oracle.order_divisors (one row
+    on Z_p x Z_p), written from multiplicities with no sort; the budget
+    is still charged (d(L) - 1) x h entries.  A table of more than budget entries, or a
     class of more than budget sets where class_clean falls back to
     oracle.enumerate_class, raises BudgetExceededError.
     """

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import InternalInvariantError, ValidationError
 from .precision import RamanujanDecision, decide
-from .spectra import check_modulus, window_eigenvalue, window_eigenvalue_unchecked
+from .spectra import check_covalency, check_modulus, window_eigenvalue_unchecked
 
 ## admissible offsets c, their discriminants c' = 25 - 4c, and the least
 ## band index k at which each offset enters the candidate set
@@ -57,8 +57,8 @@ def interval_index(m: int) -> int:
 def window_margin(m: int, l: int) -> RamanujanDecision:
     """The decision for mu = -window_eigenvalue(m, l, 1) against the bound
     at covalency l; its margin is the window margin."""
-    return decide(m, l, lambda: -window_eigenvalue(m, l, 1),
-                  lambda digits: -window_eigenvalue(m, l, 1, digits))
+    check_covalency(m, l)
+    return window_margin_unchecked(m, l)
 
 
 def window_margin_unchecked(m: int, l: int) -> RamanujanDecision:

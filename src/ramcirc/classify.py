@@ -51,13 +51,7 @@ from .numtheory import (
     least_prime_factor,
     least_prime_split,
 )
-from .precision import (
-    AUTO_EXTENDED_THRESHOLD,
-    decide,
-    mp_cos2pi_frac,
-    mp_sinpi_frac,
-    start_digits,
-)
+from .precision import AUTO_EXTENDED_THRESHOLD, decide, mp_cos2pi_frac, start_digits
 from .spectra import CayleySet, check_modulus, ramanujan_bound, window_eigenvalue_unchecked
 
 np = lazy_numpy()
@@ -141,28 +135,25 @@ def semiprime_candidates(p: int, q: int, digits: int | None = None):
 
 
 def _semiprime_candidates(p: int, q: int, digits: int | None = None):
-    """semiprime_candidates for a (p, q) it would accept, unchecked."""
+    """semiprime_candidates for a (p, q) it would accept, unchecked: one
+    body, with cos2pi(a, b) = cos(2*pi*a/b) in doubles or in mpmath."""
     m = p * q
     C = trivial_bound_unchecked(m) + 2
-    if digits is not None:
-        import mpmath as mp
-        with mp.workdps(digits):
-            mu0 = mp_sinpi_frac(C, m) / mp_sinpi_frac(1, m)
-            mu1 = q + (C - q) * mp_cos2pi_frac(1, p)
-            if C <= 3 * p:
-                mu2 = p + (C - p) * mp_cos2pi_frac(1, q)
-            else:
-                mu2 = (p + 2 * p * mp_cos2pi_frac(1, q)
-                       + (C - 3 * p) * mp_cos2pi_frac(2, q))
-            return mu0, mu1, mu2
-    mu0 = -window_eigenvalue_unchecked(m, C, 1)
-    mu1 = q + (C - q) * math.cos(math.tau / p)
-    if C <= 3 * p:
-        mu2 = p + (C - p) * math.cos(math.tau / q)
-    else:
-        mu2 = (p + 2 * p * math.cos(math.tau / q)
-               + (C - 3 * p) * math.cos(2 * math.tau / q))
-    return mu0, mu1, mu2
+
+    def candidates(cos2pi):
+        mu0 = -window_eigenvalue_unchecked(m, C, 1, digits)
+        mu1 = q + (C - q) * cos2pi(1, p)
+        if C <= 3 * p:
+            mu2 = p + (C - p) * cos2pi(1, q)
+        else:
+            mu2 = p + 2 * p * cos2pi(1, q) + (C - 3 * p) * cos2pi(2, q)
+        return mu0, mu1, mu2
+
+    if digits is None:
+        return candidates(lambda a, b: math.cos(a * math.tau / b))
+    import mpmath as mp
+    with mp.workdps(digits):
+        return candidates(mp_cos2pi_frac)
 
 
 def _near_threshold(p: int, q: int, c: int | None) -> bool | None:

@@ -14,20 +14,19 @@ entries of chi's row of the pair table, and the class maximum is the
 largest of those row extremes instead of C(h, r) sets, h = (|G| - 1)/2.
 A character of order e takes each e-th root of unity |G|/e times on G,
 so its folded row holds a multiset fixed by |G| and e alone, and one
-row per order e > 1 dividing the exponent L decides every class:
-order_characters takes (0, ..., 0, L/e), the first character of that
-order in product order.  That is the d(m) - 1 proper divisors of m on
-Z_m and one row on Z_p x Z_p.  Sorted, that row is (c - 1)/2 zeros,
-then c copies each of the folded phases L/e, 2L/e, ..., c = |G|/e, so
-row_table writes the ends its classes read from these multiplicities,
-once per climb, and builds and sorts no row; the budget is still
-charged for the (d(L) - 1) x h entries of the whole table.  A kept set
+row per order e > 1 dividing the exponent L decides every class: the
+row of (0, ..., 0, d) for each d = L/e of order_divisors(L), the first
+character of that order in product order.  That is the d(m) - 1 proper
+divisors of m on Z_m and one row on Z_p x Z_p.  Sorted, that row is
+(c - 1)/2 zeros, then c copies each of the folded phases d, 2d, ...,
+c = |G|/e, so row_table writes the ends its classes read from these
+multiplicities, once per climb, and builds and sorts no row; the budget
+is still charged for the (d(L) - 1) x h entries of the whole table.  A kept set
 in a proper subgroup lies in a character kernel, so T holds every pair
 outside it, at least |G|/3 pairs; below r = |G|/3 every set of the
 class generates G and the row maximum is the class maximum.  Cosines
-and mpmath sums are spectra's cos2 and mp_abs_mu, and the pairs of an
-extreme set are found on phase_blocks, the kernel every eigenvalue of
-the package reads.
+are spectra's cos2, and the pairs of an extreme set are found by their
+phases d * x_last mod L, folded, on spectra.pair_blocks.
 
 enumerate_class is the fallback for the classes where generation can
 bind and no violating row's extreme set generates (none of those that
@@ -45,10 +44,10 @@ the definition of the spectrum and the multiplicities of its values.
 The one shortcut is provable on its own: covalencies l <= l0 satisfy
 (l + 2)^2 <= 4m, hence mu <= l <= 2*sqrt(m - l - 1), so those classes
 are Ramanujan without a table.  A row extreme within
-precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1) is decided from its
-exact phases by precision.decide, which first asks spectra.proves_tie
-whether the sides of the row that reach its extreme tie the bound
-exactly; a proved tie counts as Ramanujan without an mpmath pass.
+precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1) is decided from the
+exact phases of its two sides by spectra.decide_rows, the decision
+spectra.is_ramanujan takes too: a proved exact tie counts as Ramanujan
+without an mpmath pass.
 """
 
 from __future__ import annotations
@@ -71,18 +70,15 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
 from .numtheory import least_prime_split
 from .spectra import (
     BLOCK,
-    TIE_SLACK,
     CayleySet,
     check_covalency,
     check_modulus,
     cos2,
+    decide_rows,
     group_orders,
     is_ramanujan,
-    mp_abs_mu,
     pair_blocks,
     pair_characters,
-    phase_blocks,
-    proves_tie,
     ramanujan_bound,
     spectrum,
     window_complement,
@@ -91,35 +87,27 @@ from .spectra import (
 np = lazy_numpy()
 
 
-def order_characters(orders: tuple[int, ...]) -> np.ndarray:
-    """One character of each order e > 1 dividing the exponent L, the first
-    of that order in product order: (0, ..., 0, L/e), by e descending.
-
-    The L/e are the proper divisors of L, found by trial division up to
-    sqrt(L); on Z_m they are the d(m) - 1 rows (d,), on a group of rank
-    >= 2 the same column behind zeros.
-    """
-    L = orders[-1]
+def order_divisors(L: int) -> list[int]:
+    """The proper divisors d = L/e of the exponent L, ascending: one per
+    character order e > 1, the order of the character (0, ..., 0, d),
+    found by trial division up to sqrt(L)."""
     a = [x for x in range(1, math.isqrt(L) + 1) if L % x == 0]
-    d = sorted({*a, *(L // x for x in a)})[:-1]
-    chars = np.zeros((len(d), len(orders)), dtype=np.int64)
-    chars[:, -1] = d
-    return chars
+    return sorted({*a, *(L // x for x in a)})[:-1]
 
 
 class RowTable(NamedTuple):
-    """The rows of the pair table for order_characters, each sorted.
+    """The rows of the pair table for order_divisors, each sorted.
 
-    sides[i] holds the folded phases of chars[i] against every pair of
-    spectra.pair_characters, ascending: all h of them, or the r_max
-    smallest followed by the r_max largest when that is fewer.  So for
-    r <= r_max its first r entries are the row's r smallest and its last
-    r the r largest, written by row_table from multiplicities.  cos is
-    spectra.cos2 of sides.
+    sides[i] holds the folded phases of (0, ..., 0, divisors[i]) against
+    every pair of spectra.pair_characters, ascending: all h of them, or
+    the r_max smallest followed by the r_max largest when that is fewer.
+    So for r <= r_max its first r entries are the row's r smallest and
+    its last r the r largest, written by row_table from multiplicities.
+    cos is spectra.cos2 of sides.
     """
 
     orders: tuple[int, ...]
-    chars: np.ndarray
+    divisors: list[int]
     sides: np.ndarray
     r_max: int
     cos: np.ndarray
@@ -149,15 +137,17 @@ class RowTable(NamedTuple):
 
     def extreme_pairs(self, i: int, r: int, from_top: bool) -> np.ndarray:
         """The pairs of the r smallest (from_top) or the r largest phases of
-        row i, ties in index order, read from the row rebuilt in blocks."""
+        row i, ties in index order: the phase of a pair x is d * x_last
+        mod L, folded, d = divisors[i], walked on spectra.pair_blocks."""
         if r == 0:
-            return self.chars[:0]
-        s = self.sides[i]
+            return np.zeros((0, len(self.orders)), dtype=np.int64)
+        s, d, L = self.sides[i], self.divisors[i], self.orders[-1]
         t = int(s[r - 1] if from_top else s[len(s) - r])
         need = r - np.count_nonzero(s[:r] < t if from_top else s[len(s) - r:] > t)
         picked = []
         for cols in pair_blocks(self.orders):
-            k = next(phase_blocks(self.orders, self.chars[i:i + 1], cols))[0]
+            k = d * cols[:, -1] % L
+            k = np.minimum(k, L - k)
             picked.append(cols[k < t if from_top else k > t])
             picked.append(cols[k == t][:need])
             need -= len(picked[-1])
@@ -177,28 +167,16 @@ def row_table(orders: tuple[int, ...], r_max: int, budget: int) -> RowTable:
     n = math.prod(orders)
     h, L = (n - 1) // 2, orders[-1]
     check_budget(h, "table entries", budget)
-    chars = order_characters(orders)
-    check_budget(len(chars) * h, "table entries", budget)
+    divisors = order_divisors(L)
+    check_budget(len(divisors) * h, "table entries", budget)
     w = min(h, r_max)
     keep = min(h, 2 * w)
     i = np.arange(keep)
     i[w:] += h - keep
-    d = chars[:, -1:]
+    d = np.array(divisors)[:, None]
     c = n // (L // d)
     S = d * ((i + (c + 1) // 2) // c)
-    return RowTable(orders, chars, S, h if keep == h else w, cos2(L, S))
-
-
-def _mp_row_max(sides: np.ndarray, L: int):
-    """The absmax of a row in mpmath, from the exact phases of its sides."""
-    return max(mp_abs_mu(side, L) for side in sides.tolist())
-
-
-def _row_tie(sides: np.ndarray, L: int, valency: int) -> bool | None:
-    """spectra.proves_tie on the sides of a row whose |mu| in doubles is
-    within spectra.TIE_SLACK of the row's absmax."""
-    mu = np.abs(1.0 + cos2(L, sides).sum(axis=1))
-    return proves_tie(sides[mu >= mu.max() - TIE_SLACK], L, valency)
+    return RowTable(orders, divisors, S, h if keep == h else w, cos2(L, S))
 
 
 def class_size(m: int, l: int) -> int:
@@ -229,14 +207,12 @@ def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bo
     and table a row_table of the group serving (l - 1)/2 removed pairs,
     built here when not given.  Every row extreme within
     precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1), or past it, goes
-    through precision.decide: an exact tie is proved by _row_tie, and
-    any other margin is refined from the same r-sum of exact phases.  A
-    violating row ends the class when its extreme set generates G, as
-    every set does for 3r < |G|.  Where 3r >= |G| only one extreme set
-    per character order is tried, the one of the row's own character;
-    when none of the violating rows' sets generates, is_ramanujan
-    decides each set of enumerate_class.  An empty class counts as
-    clean.
+    through spectra.decide_rows on the row's two sides.  A violating row
+    ends the class when its extreme set generates G, as every set does
+    for 3r < |G|.  Where 3r >= |G| only one extreme set per character
+    order is tried, the one of the row's own character; when none of the
+    violating rows' sets generates, is_ramanujan decides each set of
+    enumerate_class.  An empty class counts as clean.
     """
     orders = group_orders(group)
     n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
@@ -247,10 +223,8 @@ def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bo
     absmax, from_top = table.extremes(r)
     unsettled = False
     for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
-        if precision.decide(n, l, lambda: float(absmax[i]),
-                            lambda _digits: _mp_row_max(table.row_sides(i, r), L),
-                            tie=lambda: _row_tie(table.row_sides(i, r), L, n - l)
-                            ).is_ramanujan:
+        if decide_rows(n, l, L, float(absmax[i]),
+                       lambda: [table.row_sides(i, r)]).is_ramanujan:
             continue
         if 3 * r < n or _generates(group, table.extreme_pairs(i, r, from_top[i])):
             return False
@@ -317,7 +291,7 @@ class ClassMax(NamedTuple):
 
 
 def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
-    """The class maximum from the rows of order_characters, and its witness.
+    """The class maximum from the rows of order_divisors, and its witness.
 
     The witness is the r pairs of the first row that attains the
     maximum, the largest or the smallest entries as the maximum takes
@@ -374,27 +348,16 @@ def hat_l_exhaustive(m: int, budget: int = DEFAULT_BUDGET) -> int:
 
 def _packed_complement(m: int, d: int, l: int) -> CayleySet:
     """Every multiple of d, then the smallest pairs from the residue
-    classes +-1 mod d, +-2 mod d, ... until covalency l is reached."""
+    classes +-1 mod d, +-2 mod d, ... until covalency l is reached: the
+    first r pairs ordered by their distance to a multiple of d."""
     if m % d or d == m or d == 1:
         raise ValidationError(f"{d} is not a proper divisor of {m}")
     r = (l - 1) // 2
-    pairs = [j * d for j in range(1, (m // d - 1) // 2 + 1)]
-    if len(pairs) > r:
+    if (m // d - 1) // 2 > r:
         raise ValidationError(
             f"multiples of {d} alone overflow covalency {l} in Z_{m}")
-    h = (m - 1) // 2
-    e = 1
-    while len(pairs) < r:
-        if e > d // 2:
-            raise InternalInvariantError(
-                f"packed family exhausted the residue classes mod {d}")
-        for x in range(1, h + 1):
-            if x % d in (e, d - e):
-                pairs.append(x)
-                if len(pairs) == r:
-                    break
-        e += 1
-    return CayleySet.from_pairs(m, pairs)
+    pairs = sorted(range(1, (m - 1) // 2 + 1), key=lambda x: (min(x % d, -x % d), x))
+    return CayleySet.from_pairs(m, pairs[:r])
 
 
 def _unit_orbit_match(witness: CayleySet, target: CayleySet) -> bool:

@@ -7,10 +7,10 @@ starting at start_digits(m) digits and doubling until the margin is
 resolved, and every trigonometric argument is first reduced modulo the
 period in exact integer arithmetic so that accuracy survives moduli
 around 10**13 and far beyond.  decide is the one place where a Ramanujan
-comparison takes that route.  A caller that holds the exact phases may
-hand decide a tie certificate (spectra.proves_tie), which settles an
-exact tie in doubles before any mpmath pass; a margin that no precision
-resolves and no certificate proves is the one tie that is assumed.
+comparison takes that route.  spectra.decide_rows, which holds exact
+phases, hands decide a tie certificate that settles an exact tie in
+doubles before any mpmath pass; a margin that no precision resolves and
+no certificate proves is the one tie that is assumed.
 mpmath is imported only on the branches that use it.
 """
 

@@ -11,15 +11,17 @@ eigenvalue is computed as minus a character sum over T,
 
 with mu_0 = |G| - |T| the valency and <chi, t> an exact integer phase
 in units of 1/exponent L.  phase_blocks, cos2 and mp_abs_mu are the one
-place a phase becomes an eigenvalue, here and in ramcirc.oracle:
-phase_blocks yields the phase table in blocks, each phase k folded to
-min(k, L - k) so that chi and -chi get exactly equal values, cos2 turns
-folded phases into doubles 2*cos(2*pi*k/L), and mp_abs_mu sums one row
-in mpmath from the exact phases.  A graph of valency k is Ramanujan when
+place a phase becomes an eigenvalue: phase_blocks yields the phase table
+in blocks, each phase k folded to min(k, L - k) so that chi and -chi get
+exactly equal values, cos2 turns folded phases into doubles
+2*cos(2*pi*k/L), and mp_abs_mu sums one row in mpmath from the exact
+phases.  A graph of valency k is Ramanujan when
 max_{chi != 0} |mu_chi| <= 2*sqrt(k-1); the comparison is non-strict
 and borderline margins escalate to extended precision.  An exact tie
 |mu| = 2*sqrt(k-1) is proved from the phases by proves_tie, in doubles,
 and counts as Ramanujan; no precision would ever resolve it.
+decide_rows is the one such decision over rows of exact phases, for
+is_ramanujan and ramcirc.oracle's rows alike.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import precision
 from .errors import DEFAULT_BUDGET, ValidationError, check_budget, lazy_numpy
-from .precision import RamanujanDecision, decide, mp_cos2pi_frac, mp_sinpi_frac
+from .precision import RamanujanDecision, mp_cos2pi_frac, mp_sinpi_frac
 
 np = lazy_numpy()
 
@@ -347,35 +350,36 @@ def window_eigenvalue_unchecked(m: int, l: int, j: int, digits: int | None = Non
     return -num / den
 
 
-def _mp_mu_max(cayley: CayleySet):
-    """max |mu_chi| over chi != 0 at the current mpmath precision, one
-    character per negation pair."""
-    import mpmath as mp
-    _check_budget(cayley)
-    orders, best = cayley.orders, mp.mpf(0)
-    for K in phase_blocks(orders, pair_characters(orders), cayley._removed_reps()):
-        for row in K.tolist():
-            best = max(best, mp_abs_mu(row, orders[-1]))
-    return best
+def decide_rows(m: int, l: int, L: int, mu: float, blocks) -> RamanujanDecision:
+    """Decide mu <= 2*sqrt(m - l - 1) by precision.decide, mu the largest
+    |1 + sum_k 2*cos(2*pi*k/L)| in doubles over the rows of folded phases
+    k in the 2-D arrays that blocks() yields.
 
+    mpmath takes the largest mp_abs_mu over every row, after proves_tie
+    on the rows whose doubles lie within TIE_SLACK of mu.  decide is read
+    off its module, so one patch of it sees every route.
+    """
+    def tie():
+        near = [K[np.abs(1.0 + cos2(L, K).sum(axis=1)) >= mu - TIE_SLACK]
+                for K in blocks()]
+        return proves_tie(np.concatenate(near), L, m - l)
 
-def _spectrum_tie(cayley: CayleySet, spec: Spectrum) -> bool | None:
-    """proves_tie on the rows of the characters whose |mu| in doubles is
-    within TIE_SLACK of spec.mu_max."""
-    mu = np.abs(np.array(spec.values))
-    mu[0] = -math.inf
-    orders = cayley.orders
-    chars = elements(orders)[mu >= spec.mu_max - TIE_SLACK]
-    rows = np.concatenate(list(phase_blocks(orders, chars, cayley._removed_reps())))
-    return proves_tie(rows, orders[-1], cayley.valency)
+    return precision.decide(
+        m, l, lambda: mu,
+        lambda _digits: max(mp_abs_mu(k, L) for K in blocks() for k in K.tolist()),
+        tie=tie)
 
 
 def decide_spectrum(cayley: CayleySet, spec: Spectrum) -> RamanujanDecision:
-    """is_ramanujan(cayley) for a set whose spectrum spec is already known;
-    a margin near zero is first offered to proves_tie."""
-    return decide(cayley.m, cayley.covalency, lambda: spec.mu_max,
-                  lambda _digits: _mp_mu_max(cayley),
-                  tie=lambda: _spectrum_tie(cayley, spec))
+    """is_ramanujan(cayley) for a set whose spectrum spec is already known:
+    decide_rows on the phases of one character per negation pair."""
+    orders = cayley.orders
+
+    def blocks():
+        _check_budget(cayley)
+        return phase_blocks(orders, pair_characters(orders), cayley._removed_reps())
+
+    return decide_rows(cayley.m, cayley.covalency, orders[-1], spec.mu_max, blocks)
 
 
 def is_ramanujan(cayley: CayleySet) -> RamanujanDecision:

@@ -11,8 +11,8 @@ and checks one CayleySet a set.
 
 orbit_representatives finds the first character of each unit orbit of
 the character group by brute force over the units; it is the reference
-that oracle.order_characters, one character per order, is checked
-against.  odd_abelian_groups lists the invariant-factor chains of every
+that the rows of oracle.order_divisors, one character (0, ..., 0, d)
+per order, are checked against.  odd_abelian_groups lists the invariant-factor chains of every
 odd abelian group up to a given order.
 """
 

@@ -220,20 +220,21 @@ class TestRowTable:
         ## the order character of its order
         for orders in odd_abelian_groups(400):
             R, L = pair_characters(orders), orders[-1]
-            reps, chars = orbit_representatives(orders), oracle.order_characters(orders)
+            divisors = oracle.order_divisors(L)
+            reps, chars = orbit_representatives(orders), _divisor_chars(orders, divisors)
             rows = {}
-            for k, chi in zip(_folded_sorted(orders, chars, R), chars):
-                assert chi[:-1].tolist() == [0] * (len(orders) - 1), orders
+            for k, chi, d in zip(_folded_sorted(orders, chars, R), chars, divisors):
+                assert _char_order(orders, chi) == L // d, orders
                 rows[_char_order(orders, chi)] = k
             ## one character of each order e > 1 dividing L, e descending
             assert list(rows) == [e for e in range(L, 1, -1) if L % e == 0], orders
             for k, chi in zip(_folded_sorted(orders, reps, R), reps):
                 assert np.array_equal(k, rows[_char_order(orders, chi)]), (orders, chi)
-        assert oracle.order_characters((45,)).ravel().tolist() == [1, 3, 5, 9, 15]
+        assert oracle.order_divisors(45) == [1, 3, 5, 9, 15]
         ## one row on Z_p x Z_p, not p + 1; 7 on (3, 3333), not 19
         for p in (3, 5, 7, 11, 13):
-            assert oracle.order_characters((p, p)).tolist() == [[0, 1]]
-        assert len(oracle.order_characters((3, 3333))) == 7
+            assert oracle.order_divisors(p) == [1]
+        assert len(oracle.order_divisors(3333)) == 7
         assert len(orbit_representatives((3, 3333))) == 19
 
     def test_equal_rows_tie_once(self, monkeypatch):
@@ -258,7 +259,7 @@ class TestRowTable:
             monkeypatch.setattr(spectra, "BLOCK", 8)
             got = oracle.row_table(orders, r_max, 10**6)
             assert np.array_equal(got.sides, want.sides), orders
-            K = spectra.phase_table(orders, got.chars, R)
+            K = spectra.phase_table(orders, _divisor_chars(orders, got.divisors), R)
             K = np.minimum(K, L - K)
             w = min(r_max, len(R))
             S = np.sort(K, axis=1)
@@ -295,6 +296,13 @@ class TestRowTable:
         assert peak < 1 << 20
 
 
+def _divisor_chars(orders, divisors):
+    """The characters (0, ..., 0, d) of the rows of divisors d."""
+    chars = np.zeros((len(divisors), len(orders)), dtype=np.int64)
+    chars[:, -1] = divisors
+    return chars
+
+
 def _folded_sorted(orders, chars, R):
     """The sorted folded rows of chars against the pairs R."""
     K = spectra.phase_table(orders, chars, R)
@@ -327,7 +335,6 @@ class TestRowRoute:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "enumerate_class", _recording(enumerated))
             patch.setattr(precision, "decide", recording(precision.decide))
-            patch.setattr(spectra, "decide", recording(spectra.decide))
             got = [oracle.class_clean(g, l, 10**6) for g, l in cases]
         return cases, got, enumerated, decisions
 
@@ -380,7 +387,7 @@ class TestRowRoute:
         ## 1 x 50 on the prime 101 and 7 x 52 on 105 = 3 * 5 * 7
         for m, rows in ((101, 1), (105, 7)):
             entries = rows * (m - 1) // 2
-            assert len(oracle.order_characters((m,))) == rows
+            assert len(oracle.order_divisors(m)) == rows
             assert class_max(m, 21, budget=entries).mu > 0
             with pytest.raises(BudgetExceededError) as e:
                 class_max(m, 21, budget=entries - 1)
@@ -588,6 +595,30 @@ class TestCrosscheck:
                                      if _unit_orbit_match_loop(r.witness, s)), None)
         ## matches through the identity and through other units, and misses
         assert {(True, True), (True, False), (False, False)} <= set(answers)
+
+    def test_packed_family_takes_the_residue_classes_in_turn(self):
+        ## every multiple of d below m/2, then the pairs = +-1, +-2, ...
+        ## mod d, each class in ascending order, until r pairs are removed
+        packed = 0
+        for m in range(3, 402, 2):
+            l = trivial_bound(m) + 2
+            h, r = (m - 1) // 2, (l - 1) // 2
+            for d in (d for d in range(3, m, 2) if m % d == 0):
+                want = list(range(d, h + 1, d))
+                if len(want) > r:
+                    with pytest.raises(ValidationError):
+                        oracle._packed_complement(m, d, l)
+                    continue
+                for e in range(1, d // 2 + 1):
+                    want += [x for x in range(1, h + 1) if x % d in (e, d - e)]
+                got = oracle._packed_complement(m, d, l)
+                assert got.covalency == l, (m, d)
+                assert {min(x, m - x) for x in got.complement} == {0, *want[:r]}, (m, d)
+                packed += 1
+        assert packed == 245
+        for d in (1, 7, 45):
+            with pytest.raises(ValidationError):
+                oracle._packed_complement(45, d, 11)
 
 
 class TestWitnessSpectra:

@@ -16,7 +16,15 @@ from ramcirc.classify import classify, scan_range
 from ramcirc.errors import InternalInvariantError
 from ramcirc.oracle import hat_l_exhaustive
 from ramcirc.precision import AUTO_EXTENDED_THRESHOLD, MAX_DIGITS, decide, start_digits
-from ramcirc.spectra import cos2, group_orders, mp_abs_mu, pair_characters, phase_table
+from ramcirc.spectra import (
+    TIE_SLACK,
+    cos2,
+    group_orders,
+    mp_abs_mu,
+    pair_characters,
+    phase_table,
+    proves_tie,
+)
 
 ## every comparison is inside this escalation window, so every decision
 ## takes the mpmath route
@@ -177,7 +185,7 @@ class TestForcedEscalation:
             ## a clean class decides every row; any other ends on the first
             ## row that decide rejects
             assert [d.is_ramanujan for d in decisions] == (
-                [True] * len(table.chars) if clean
+                [True] * len(table.divisors) if clean
                 else [True] * (len(decisions) - 1) + [False]), (group, l)
             return clean
 
@@ -189,14 +197,16 @@ class TestForcedEscalation:
 
 def _full_table_decisions(decide, group, l):
     """decide on every row of the whole pair table of the class that is
-    an oracle.order_characters row and whose extreme is within
-    ESCALATION_MARGIN of the bound, in row order, as oracle.class_clean
-    would without an early exit."""
+    the row of a character (0, ..., 0, d), d in oracle.order_divisors,
+    and whose extreme is within ESCALATION_MARGIN of the bound, in row
+    order, as oracle.class_clean would without an early exit.  The tie
+    is proved on the sides within TIE_SLACK of the larger, selected here."""
     orders = group_orders(group)
     n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
     h = (n - 1) // 2
     R = pair_characters(orders)
-    reps = {tuple(c) for c in oracle.order_characters(orders).tolist()}
+    zeros = (0,) * (len(orders) - 1)
+    reps = {(*zeros, d) for d in oracle.order_divisors(L)}
     K = phase_table(orders, R, R)
     S = np.sort(np.minimum(K, L - K), axis=1)
     cos = cos2(L, np.arange(L // 2 + 1))
@@ -207,16 +217,23 @@ def _full_table_decisions(decide, group, l):
     for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
         if tuple(R[i].tolist()) in reps:
             sides = np.stack([S[i, :r], S[i, h - r:]])
+            mu = np.abs(1.0 + cos2(L, sides).sum(axis=1))
+            near = sides[mu >= mu.max() - TIE_SLACK]
             out.append(decide(
                 n, l, lambda: float(absmax[i]),
                 lambda _digits: max(mp_abs_mu(s, L) for s in sides.tolist()),
-                tie=lambda: oracle._row_tie(sides, L, n - l)))
+                tie=lambda: proves_tie(near, L, n - l)))
     return out
 
 
-def test_refine_margin_is_called_only_in_precision():
+@pytest.mark.parametrize("name, home", [("refine_margin", "precision.py"),
+                                        ("proves_tie", "spectra.py"),
+                                        ("mp_abs_mu", "spectra.py")])
+def test_named_only_in_its_module(name, home):
+    ## one escalation path: refine_margin is precision.decide's, and the
+    ## tie proof and mpmath row sums are spectra.decide_rows'
     package = Path(precision.__file__).parent
     offenders = [path.name for path in sorted(package.glob("*.py"))
-                 if path.name != "precision.py"
-                 and re.search(r"\brefine_margin\b", path.read_text())]
+                 if path.name != home
+                 and re.search(rf"\b{name}\b", path.read_text())]
     assert offenders == []
