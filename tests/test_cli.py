@@ -26,6 +26,49 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+## the exact rows of the family tables, margins at three significant digits
+FAMILY_TABLES = {
+    "table4": (
+        "y=7    p=109 q=181 q/p=1.660 margins=(-0.0111, -0.0821, -0.0218) ok",
+        "y=17   p=1879 q=3301 q/p=1.756 margins=(-0.000759, -0.00486, -0.0011) ok",
+        "y=25   p=4591 q=8101 q/p=1.764 margins=(-0.000312, -0.00199, -0.000442) ok",
+        "y=35   p=9601 q=16981 q/p=1.768 margins=(-0.000149, -0.000951, -0.00021) ok",
+        "y=40   p=12781 q=22621 q/p=1.769 margins=(-0.000112, -0.000714, -0.000157) ok",
+        "y=62   p=32119 q=56941 q/p=1.772 margins=(-4.46e-05, -0.000284, -6.21e-05) ok",
+        "y=82   p=57259 q=101581 q/p=1.774 margins=(-2.5e-05, -0.000159, -3.47e-05) ok",
+        "y=104  p=93229 q=165469 q/p=1.774 margins=(-1.54e-05, -9.78e-05, -2.13e-05) ok",
+    ),
+    "table5": (
+        "y=13   p=937 q=1637 q/p=1.747 margins=(0.000107, -0.00813, -0.000622) ok",
+        "y=43   p=14887 q=26357 q/p=1.770 margins=(4.7e-06, -0.000512, -3.37e-05) ok",
+        "y=60   p=29983 q=53149 q/p=1.772 margins=(2.3e-06, -0.000254, -1.64e-05) ok",
+        "y=81   p=55813 q=99013 q/p=1.774 margins=(1.23e-06, -0.000136, -8.73e-06) ok",
+        "y=158  p=218437 q=387917 q/p=1.775 margins=(3.12e-07, -3.48e-05, -2.2e-06) ok",
+        "y=211  p=392383 q=697013 q/p=1.776 margins=(1.73e-07, -1.94e-05, -1.22e-06) ok",
+        "y=225  p=446773 q=793669 q/p=1.776 margins=(1.52e-07, -1.7e-05, -1.07e-06) ok",
+        "y=249  p=548221 q=973957 q/p=1.776 margins=(1.24e-07, -1.39e-05, -8.7e-07) ok",
+    ),
+    "table6": (
+        "y=39   p=103507276549 q=407634920449 q/p=3.938 "
+        "margins=(-5.8e-11, 2.18e-13, -6.62e-11) ok",
+        "y=134  p=1223336627269 q=4817774691329 q/p=3.938 "
+        "margins=(-4.91e-12, 1.84e-14, -5.6e-12) ok",
+        "y=165  p=1854993585541 q=7305381823489 q/p=3.938 "
+        "margins=(-3.24e-12, 1.22e-14, -3.69e-12) ok",
+        "y=178  p=2158870385989 q=8502116992001 q/p=3.938 "
+        "margins=(-2.78e-12, 1.04e-14, -3.17e-12) ok",
+        "y=279  p=5304571299589 q=20890594526209 q/p=3.938 "
+        "margins=(-1.13e-12, 4.25e-15, -1.29e-12) ok",
+        "y=433  p=12777690072709 q=50321416668161 q/p=3.938 "
+        "margins=(-4.7e-13, 1.77e-15, -5.36e-13) ok",
+        "y=468  p=14927014718149 q=58785940423681 q/p=3.938 "
+        "margins=(-4.02e-13, 1.51e-15, -4.59e-13) ok",
+        "y=499  p=16970160763909 q=66832308978689 q/p=3.938 "
+        "margins=(-3.54e-13, 1.33e-15, -4.04e-13) ok",
+    ),
+}
+
+
 class TestGlobalFlags:
     def test_precision_flag_is_rejected(self, capsys):
         ## precision.decide works out its digits; there is no flag for them
@@ -208,6 +251,18 @@ class TestReferenceTables:
     def test_table6(self, capsys):
         code, out, _ = run(capsys, "table6")
         assert code == 0 and "table6: PASS" in out
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_TABLES))
+    def test_family_table_bytes_are_pinned(self, capsys, name):
+        ## the text and the JSON document print the same rows
+        rows = FAMILY_TABLES[name]
+        code, out, _ = run(capsys, name)
+        assert code == 0
+        assert out == "".join(f"{row}\n" for row in rows) + f"{name}: PASS\n"
+        code, out, _ = run(capsys, "--json", name)
+        assert code == 0
+        assert out == json.dumps({"name": name, "rows": list(rows), "pass": True},
+                                 separators=(",", ":")) + "\n"
 
     def test_gamma(self, capsys):
         code, out, _ = run(capsys, "gamma")
