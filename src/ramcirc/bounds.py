@@ -37,6 +37,12 @@ K_MIN = {c: 19 if c == -5 else 4 for c in C_OFFSETS}
 SMALL_WINDOW = frozenset(range(15, 30, 2))
 
 
+def check_offset(c: int) -> None:
+    """Raise ValidationError unless c is one of the admissible offsets."""
+    if c not in C_OFFSETS:
+        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+
+
 def trivial_bound(m: int) -> int:
     """l0(m) = 2*floor(sqrt(m) - 3/2) + 1, in exact integer arithmetic."""
     check_modulus(m)
@@ -140,19 +146,10 @@ def in_candidate_set(m: int) -> CandidateWitness:
 
 
 def deep_window_max_h(m: int) -> int:
-    """Largest h with 4h <= (sqrt(m) - 2)^2, by exact integer comparison."""
+    """Largest h with 4h <= (sqrt(m) - 2)^2, in exact integers: the least
+    r >= 0 with r^2 >= 16m is isqrt(16m - 1) + 1, and r = m + 4 - 4h."""
     check_modulus(m)
-
-    def ok(h):
-        r = m + 4 - 4 * h
-        return h >= 0 and r >= 0 and r * r >= 16 * m
-
-    h = max(0, (m + 4 - 4 * isqrt(m)) // 4)
-    while ok(h + 1):
-        h += 1
-    while h > 0 and not ok(h):
-        h -= 1
-    return h
+    return max(0, (m + 3 - isqrt(16 * m - 1)) // 4)
 
 
 def window_violation(m: int, h: int) -> bool:

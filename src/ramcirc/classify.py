@@ -38,6 +38,7 @@ from .bounds import (
     K_MIN,
     NOT_IN_J,
     CandidateWitness,
+    check_offset,
     in_candidate_set,
     trivial_bound,
     trivial_bound_unchecked,
@@ -154,6 +155,21 @@ def _semiprime_candidates(p: int, q: int, digits: int | None = None):
     import mpmath as mp
     with mp.workdps(digits):
         return candidates(mp_cos2pi_frac)
+
+
+def candidate_margins(p: int, q: int, digits: int | None = None):
+    """mu_i - rb for the three semiprime_candidates of m = p*q, rb the bound
+    2*sqrt(m - l0 - 3) at l0 + 2: doubles, or with digits set mpmath at that precision."""
+    mus = semiprime_candidates(p, q, digits)
+    m = p * q
+    l0 = trivial_bound_unchecked(m)
+    if digits is None:
+        rb = ramanujan_bound(m, l0 + 2)
+        return tuple(mu - rb for mu in mus)
+    import mpmath as mp
+    with mp.workdps(digits):
+        rb = 2 * mp.sqrt(m - l0 - 3)
+        return tuple(mu - rb for mu in mus)
 
 
 def _near_threshold(p: int, q: int, c: int | None) -> bool | None:
@@ -370,31 +386,23 @@ def spectral_ordering(p: int, q: int, c: int | None = None) -> SpectralOrdering:
 
     The offset c is taken from the quadratic membership witness of p*q
     when not supplied; orders without one are rejected since the regime
-    boundaries depend on c.
+    boundaries depend on c.  The computed order ranks the candidate_margins
+    and 0, the bound, in mpmath above AUTO_EXTENDED_THRESHOLD.
     """
     m = p * q
     if c is None:
-        w = in_candidate_set(m)
-        if w.c is None:
+        c = in_candidate_set(m).c
+        if c is None:
             raise ValidationError(
                 f"m={m} has no quadratic candidate witness; pass c explicitly")
-        c = w.c
-    elif c not in C_OFFSETS:
-        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+    check_offset(c)
     x = math.sqrt(q / p)
     th = thresholds()
     cuts = (th.gamma1, th.gamma2, th.gamma3, th.gamma4, th.gamma5[c])
     regime = 1 + sum(x > b for b in cuts)
-    l0 = trivial_bound(m)
     digits = None if m <= AUTO_EXTENDED_THRESHOLD else start_digits(m)
-    mu0, mu1, mu2 = semiprime_candidates(p, q, digits=digits)
-    if digits is None:
-        rb = ramanujan_bound(m, l0 + 2)
-    else:
-        import mpmath as mp
-        with mp.workdps(digits):
-            rb = 2 * mp.sqrt(m - l0 - 3)
-    ranked = sorted(zip((mu0, mu1, mu2, rb), ("mu0", "mu1", "mu2", "rb")))
+    ranked = sorted(zip((*candidate_margins(p, q, digits), 0),
+                        ("mu0", "mu1", "mu2", "rb")))
     computed = tuple(name for _, name in ranked)
     predicted = REGIME_ORDERS[regime]
     return SpectralOrdering(p, q, c, x, regime, predicted, computed,
@@ -420,8 +428,7 @@ class ProfilePoint(NamedTuple):
 
 def profile_point(c: int, k: int, x: float) -> ProfilePoint:
     """Evaluate the profile at ratio x in (1, 2), branch point excluded."""
-    if c not in C_OFFSETS:
-        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+    check_offset(c)
     if k < 1:
         raise ValidationError("band index k must be positive")
     if not 1.0 < x < 2.0:
@@ -540,8 +547,7 @@ class ExceptionalBuckets(NamedTuple):
 
 def count_exceptionals(c: int, k_max: int) -> ExceptionalBuckets:
     """Classify k^2 + 5k + c for 4 <= k <= k_max and bucket by type."""
-    if c not in C_OFFSETS:
-        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+    check_offset(c)
     check_budget(k_max, "family values")
     buckets: dict[str, list[int]] = {KIND_I: [], KIND_II: [], KIND_III: []}
     for k in range(4, k_max + 1):

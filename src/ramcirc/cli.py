@@ -4,8 +4,9 @@ One executable, `ramcirc`, with one subcommand per question the library
 answers.  The table subcommands recompute a pinned reference table and
 report PASS or FAIL per row, exiting 3 on any mismatch; `--json` swaps
 the text output for one compact JSON document, strict RFC 8259 JSON with
-no NaN or Infinity (a non-finite input is echoed as a string).  Extended precision needs
-no flag: precision.decide works out the digits of each comparison.
+no NaN or Infinity (a non-finite input is echoed as a string).  Extended
+precision needs no flag: precision works out every digit count, by
+decide for each comparison and by start_digits(m) for a family table.
 
 Exit codes: 0 success, 2 invalid input or an exceeded budget, 3 an
 internal invariant or reference-table violation.
@@ -22,17 +23,17 @@ import sys
 
 from . import golden
 from .abelian import AbelianGroup, abelian_hat_l, abelian_oracle
-from .bounds import C_OFFSETS, in_candidate_set, trivial_bound
+from .bounds import C_OFFSETS, in_candidate_set
 from .classify import (
     KIND_I,
     KIND_II,
     KIND_III,
     VERDICT_EXCEPTIONAL,
+    candidate_margins,
     classify,
     count_exceptionals,
     profile_point,
     scan_range,
-    semiprime_candidates,
     thresholds,
 )
 from .errors import BudgetExceededError, InternalInvariantError, ValidationError, check_budget
@@ -46,6 +47,7 @@ from .numtheory import (
     poly_eval,
 )
 from .oracle import DEFAULT_BUDGET, hat_l_exhaustive
+from .precision import start_digits
 from .spectra import CayleySet, decide_spectrum, spectrum
 
 
@@ -235,62 +237,44 @@ def cmd_table3(args) -> int:
     return _table_result(args, "table3", rows, ok)
 
 
-def _family_margins(p: int, q: int, digits: int):
-    import mpmath as mp
-    m = p * q
-    l0 = trivial_bound(m)
-    with mp.workdps(digits):
-        mu0, mu1, mu2 = semiprime_candidates(p, q, digits=digits)
-        rb = 2 * mp.sqrt(m - l0 - 3)
-        return float(mu0 - rb), float(mu1 - rb), float(mu2 - rb)
+def _family_point(a: int, c: int, y: int):
+    pt = family_eval(a, y, c)
+    return pt.p, pt.q
 
 
-def _family_table(args, name, rows_golden, point_of_y, digits) -> int:
+def _shifted_point(y: int):
+    ## the shifted offset is not admissible, so family_eval does not apply;
+    ## the products must sit outside the candidate set, margin positive
+    p = poly_eval(golden.TABLE5_POLY_P, y)
+    q = poly_eval(golden.TABLE5_POLY_Q, y)
+    if in_candidate_set(p * q).member:
+        raise InternalInvariantError(
+            f"shifted-family product {p * q} landed in the candidate set")
+    return p, q
+
+
+## each family table: its golden rows, and the (p, q) of each row's y
+_FAMILY_TABLES = {
+    "table4": (golden.TABLE4_ROWS, lambda y: _family_point(1, -5, y)),
+    "table5": (golden.TABLE5_ROWS, _shifted_point),
+    "table6": (golden.TABLE6_ROWS, lambda y: _family_point(64, 5, y)),
+}
+
+
+def cmd_family_table(args) -> int:
+    rows_golden, point_of_y = _FAMILY_TABLES[args.command]
     rows, ok = [], True
     for y, p_exp, q_exp, ratio_exp, margins_exp in rows_golden:
         p, q = point_of_y(y)
-        margins = _family_margins(p, q, digits)
-        good = (p == p_exp and q == q_exp
-                and golden.truncate_ratio(q, p) == ratio_exp
-                and all(golden.margin_close(got, want)
-                        for got, want in zip(margins, margins_exp)))
+        ratio = golden.truncate_ratio(q, p)
+        margins = [float(d) for d in candidate_margins(p, q, start_digits(p * q))]
+        good = ((p, q, ratio) == (p_exp, q_exp, ratio_exp)
+                and all(map(golden.margin_close, margins, margins_exp)))
         ok &= good
-        rows.append(f"y={y:<4d} p={p} q={q} q/p={golden.truncate_ratio(q, p)} "
+        rows.append(f"y={y:<4d} p={p} q={q} q/p={ratio} "
                     f"margins=({margins[0]:.3g}, {margins[1]:.3g}, {margins[2]:.3g}) "
                     f"{'ok' if good else 'MISMATCH'}")
-    return _table_result(args, name, rows, ok)
-
-
-def cmd_table4(args) -> int:
-    def point(y):
-        pt = family_eval(1, y, -5)
-        return pt.p, pt.q
-
-    return _family_table(args, "table4", golden.TABLE4_ROWS, point, 30)
-
-
-def cmd_table5(args) -> int:
-    ## the shifted offset leaves the admissible set, so the polynomials
-    ## are evaluated directly; the products must then sit outside the
-    ## candidate set and show a positive window margin
-    def point(y):
-        p = poly_eval(golden.TABLE5_POLY_P, y)
-        q = poly_eval(golden.TABLE5_POLY_Q, y)
-        if in_candidate_set(p * q).member:
-            raise InternalInvariantError(
-                f"shifted-family product {p * q} landed in the candidate set")
-        return p, q
-
-    return _family_table(args, "table5", golden.TABLE5_ROWS, point, 30)
-
-
-def cmd_table6(args) -> int:
-    def point(y):
-        pt = family_eval(64, y, 5)
-        return pt.p, pt.q
-
-    ## moduli near 10**26 with margins near 10**-15 need 40 digits
-    return _family_table(args, "table6", golden.TABLE6_ROWS, point, 40)
+    return _table_result(args, args.command, rows, ok)
 
 
 def cmd_gamma(args) -> int:
@@ -453,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated removed residues, including 0")
     p.set_defaults(func=cmd_spectrum)
 
-    for name, fn in (("table1", cmd_table1), ("table4", cmd_table4),
-                     ("table5", cmd_table5), ("table6", cmd_table6)):
+    for name, fn in {"table1": cmd_table1,
+                     **dict.fromkeys(_FAMILY_TABLES, cmd_family_table)}.items():
         p = sub.add_parser(name, help=f"recompute reference {name}")
         p.set_defaults(func=fn)
 

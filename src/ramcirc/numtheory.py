@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .bounds import CPRIMES, C_OFFSETS
+from .bounds import CPRIMES, check_offset
 from .errors import (
     InternalInvariantError,
     ValidationError,
@@ -340,8 +340,7 @@ class FamilyPoint(NamedTuple):
 
 def family_eval(a: int, y: int, c: int) -> FamilyPoint:
     """Evaluate the family polynomials at (a, y, c), exactly."""
-    if c not in C_OFFSETS:
-        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+    check_offset(c)
     if not isinstance(a, int) or a < 1:
         raise ValidationError("family parameter a must be a positive integer")
     b = 2 * a + 1
@@ -410,8 +409,7 @@ def hardy_littlewood_constant(c: int, prime_limit: int = 10 ** 7) -> SeriesEstim
     lookup.  The spread of the partial products over the last decade of
     the truncation range is reported as the oscillation estimate.
     """
-    if c not in C_OFFSETS:
-        raise ValidationError(f"offset c must be one of {C_OFFSETS}, got {c}")
+    check_offset(c)
     if prime_limit < 100:
         raise ValidationError("prime_limit must be at least 100")
     cp = CPRIMES[c]

@@ -191,13 +191,12 @@ def class_size(m: int, l: int) -> int:
     return comb((m - 1) // 2, (l - 1) // 2)
 
 
-def _generates(group, reps: np.ndarray) -> bool:
-    """Whether the kept set of the complement removing reps generates G."""
+def _extreme_set(group, table: RowTable, i: int, r: int, from_top: bool):
+    """The CayleySet removing row i's extreme pairs; None if it does not generate G."""
     try:
-        _cayley(group, reps)
+        return _cayley(group, table.extreme_pairs(i, r, from_top))
     except ValidationError:
-        return False
-    return True
+        return None
 
 
 def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bool:
@@ -226,7 +225,7 @@ def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bo
         if decide_rows(n, l, L, float(absmax[i]),
                        lambda: [table.row_sides(i, r)]).is_ramanujan:
             continue
-        if 3 * r < n or _generates(group, table.extreme_pairs(i, r, from_top[i])):
+        if 3 * r < n or _extreme_set(group, table, i, r, from_top[i]) is not None:
             return False
         unsettled = True
     return not unsettled or all(is_ramanujan(s).is_ramanujan
@@ -308,9 +307,8 @@ def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     absmax, from_top = table.extremes(r)
     i = int(np.argmax(absmax))
     best = float(absmax[i])
-    try:
-        witness = _cayley(m, table.extreme_pairs(i, r, from_top[i]))
-    except ValidationError:
+    witness = _extreme_set(m, table, i, r, from_top[i])
+    if witness is None:
         witness = max(enumerate_class(m, l, budget), default=None,
                       key=lambda s: spectrum(s).mu_max)
         if witness is None:
@@ -402,17 +400,14 @@ class CrosscheckReport(NamedTuple):
 def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET) -> CrosscheckReport:
     """Validate the three-candidate formula on one semiprime order.
 
-    Takes the class maximum at covalency l0 + 2, compares it
-    against max(mu0, mu1, mu2), and identifies the extremal set as one
-    of the predicted families up to a unit multiplier.
+    Compares the class maximum at covalency l0 + 2 with max(mu0, mu1, mu2),
+    which semiprime_candidates refuses for q > 4p - 5, and identifies the
+    extremal set as one of the predicted families up to a unit multiplier.
     """
     p, q_prime = least_prime_split(m)
     q = m // p
     if q == p or not q_prime:
         raise ValidationError(f"m={m} is not a product of two distinct primes")
-    if q > 4 * p - 5:
-        raise ValidationError(
-            f"q={q} exceeds 4p-5={4 * p - 5}; the candidate formula does not apply")
     l = trivial_bound(m) + 2
     mu_closed = float(max(semiprime_candidates(p, q)))
     cm = class_max(m, l, budget)

@@ -12,7 +12,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import mpmath as mp
 import pytest
 
 from ramcirc import golden
@@ -24,10 +23,10 @@ from ramcirc.bounds import (
     window_excess,
 )
 from ramcirc.classify import (
+    candidate_margins,
     classify,
     exceptional_orders,
     rho_e,
-    semiprime_candidates,
     thresholds,
 )
 from ramcirc.numtheory import (
@@ -38,6 +37,7 @@ from ramcirc.numtheory import (
     sieve_primes,
 )
 from ramcirc.oracle import hat_l_exhaustive, semiprime_crosscheck
+from ramcirc.precision import start_digits
 from ramcirc.spectra import (
     CayleySet,
     spectrum,
@@ -64,14 +64,10 @@ def report(capsys):
     return criterion
 
 
-def family_margins(p, q, digits):
-    """Signed distances of the three candidate values to the bound."""
-    m = p * q
-    l0 = trivial_bound(m)
-    with mp.workdps(digits):
-        mu0, mu1, mu2 = semiprime_candidates(p, q, digits=digits)
-        rb = 2 * mp.sqrt(m - l0 - 3)
-        return [float(mu0 - rb), float(mu1 - rb), float(mu2 - rb)]
+def family_margins(p, q):
+    """Signed distances of the three candidate values to the bound, at the
+    digits the family tables of the CLI use."""
+    return [float(d) for d in candidate_margins(p, q, start_digits(p * q))]
 
 
 class TestAcceptance:
@@ -116,7 +112,7 @@ class TestAcceptance:
                 pt = family_eval(1, y, -5)
                 assert (pt.p, pt.q) == (p_exp, q_exp), y
                 assert golden.truncate_ratio(pt.q, pt.p) == ratio_exp, y
-                got = family_margins(pt.p, pt.q, 30)
+                got = family_margins(pt.p, pt.q)
                 for g, w in zip(got, margins_exp):
                     assert golden.margin_close(g, w), (y, g, w)
 
@@ -129,19 +125,19 @@ class TestAcceptance:
                 assert (p, q) == (p_exp, q_exp), y
                 assert not in_candidate_set(p * q).member, y
                 assert golden.truncate_ratio(q, p) == ratio_exp, y
-                got = family_margins(p, q, 30)
+                got = family_margins(p, q)
                 assert got[0] > 0 and got[1] < 0 and got[2] < 0, (y, got)
                 for g, w in zip(got, margins_exp):
                     assert golden.margin_close(g, w), (y, g, w)
 
     def test_criterion_06_wide_family(self, report):
         with report(6, "a=64, c=5 family: 12-digit prime pairs whose "
-                          "margins shrink to 1e-15 at 40 digits"):
+                          "margins shrink to 1e-15"):
             for y, p_exp, q_exp, ratio_exp, margins_exp in golden.TABLE6_ROWS:
                 pt = family_eval(64, y, 5)
                 assert (pt.p, pt.q) == (p_exp, q_exp), y
                 assert golden.truncate_ratio(pt.q, pt.p) == ratio_exp, y
-                got = family_margins(pt.p, pt.q, 40)
+                got = family_margins(pt.p, pt.q)
                 for g, w in zip(got, margins_exp):
                     assert golden.margin_close(g, w), (y, g, w)
             ## the y=39 middle candidate famously grazes the bound

@@ -180,8 +180,11 @@ class TestCandidateSet:
 
 class TestDeepWindows:
     def test_max_h_definition(self):
-        for m in range(39, 500, 2):
+        rng = random.Random(11)
+        for m in [*range(3, 10 ** 5 + 1, 2),
+                  *(rng.getrandbits(200) | 1 for _ in range(20000))]:
             h = deep_window_max_h(m)
+            assert h >= 0
             assert m + 4 - 4 * h >= 0
             assert (m + 4 - 4 * h) ** 2 >= 16 * m
             assert (m + 4 - 4 * (h + 1)) ** 2 < 16 * m or m + 4 - 4 * (h + 1) < 0

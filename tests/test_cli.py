@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from ramcirc import cli, spectra
+from ramcirc import cli, golden, spectra
 from ramcirc.abelian import AbelianGroup, abelian_hat_l
 from ramcirc.classify import classify, count_exceptionals
 from ramcirc.cli import main
@@ -145,6 +145,19 @@ class TestHatl:
         assert got == {"m": 21, "hatl": 7, "verdict": "ordinary",
                        "oracle": 7, "agrees": True}
 
+    def test_oracle_disagreement_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "hat_l_exhaustive", lambda m, budget: 9)
+        code, out, err = run(capsys, "hatl", "15", "--oracle")
+        assert code == 3
+        assert out == "hat_l(15) = 7  [exceptional]\noracle: 9  (DISAGREE)\n"
+        assert err == ("internal invariant violated: oracle hat_l 9 contradicts "
+                       "classification 7 at m=15\n")
+        code, out, _ = run(capsys, "--json", "hatl", "15", "--oracle")
+        assert code == 3
+        assert json.loads(out) == {"m": 15, "hatl": 7, "verdict": "exceptional",
+                                   "oracle": 9, "agrees": False}
+        assert out.count("\n") == 1
+
 
 class TestScan:
     def test_csv_file(self, capsys, tmp_path):
@@ -234,6 +247,13 @@ class TestReferenceTables:
     def test_table1(self, capsys):
         code, out, _ = run(capsys, "table1")
         assert code == 0 and "table1: PASS" in out
+
+    def test_table1_mismatch_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setitem(golden.TABLE1, 15, (5, 9))
+        code, out, _ = run(capsys, "table1")
+        assert code == 3
+        assert "m=15  l0=5   hat_l=7   expected=9   MISMATCH\n" in out
+        assert out.endswith("table1: FAIL\n")
 
     def test_table3(self, capsys):
         code, out, _ = run(capsys, "table3", "--kmax", "10")
@@ -402,6 +422,20 @@ class TestAbelian:
         assert code == 0
         assert "oracle: 11  (agree)" in out
 
+    def test_oracle_disagreement_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "abelian_oracle", lambda group, budget: 13)
+        code, out, err = run(capsys, "abelian", "--orders", "5,5", "--oracle")
+        assert code == 3
+        assert out.endswith("hat_l = 11\noracle: 13  (DISAGREE)\n")
+        assert err == ("internal invariant violated: abelian oracle 13 contradicts "
+                       "hat_l 11 for orders (5, 5)\n")
+        code, out, _ = run(capsys, "--json", "abelian", "--orders", "5,5", "--oracle")
+        assert code == 3
+        want = abelian_hat_l(AbelianGroup((5, 5))).to_json_dict()
+        want["oracle"] = 13
+        assert json.loads(out) == want
+        assert out.count("\n") == 1
+
     def test_oracle_past_49(self, capsys):
         code, out, err = run(capsys, "abelian", "--orders", "9,9", "--oracle")
         assert code == 0
@@ -447,6 +481,16 @@ class TestProfile:
         xs = [float(r[0]) for r in rows[1:]]
         assert all(1.0 < x < 2.0 for x in xs)
         assert all(abs(x - 1.5) > 1e-9 for x in xs)
+
+    def test_csv_file_is_the_printed_csv(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        argv = ("profile", "--c", "3", "--k", "7", "--samples", "6")
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--csv", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == printed.encode()
+        assert printed.startswith("x,mu0,mu1,mu2,rb\r\n")
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--json", "profile", "--c", "-5",

@@ -1,11 +1,13 @@
 """Package layout: no module of ramcirc imports ramcirc inside a function,
-imports another module's underscore names, or imports mpmath, numpy or
-dataclasses at module level.
+imports another module's underscore names, imports a name it never reads,
+or imports mpmath, numpy or dataclasses at module level.
 
 A deferred import hides an import cycle between two modules; the fix is
 to move the code that needs both into the module that already imports
 the other.  An imported underscore name is a second copy of one module's
-internals; the fix is a public name that both modules read.  mpmath is
+internals; the fix is a public name that both modules read.  An unused
+import is the leftover of a deletion, and keeps a dead dependency between
+two modules.  mpmath is
 needed only when a margin escalates, so it is imported on those branches
 alone, and a run that never escalates never loads it.  numpy is needed
 only by the batched scan, the oracles and the sieves, so every module
@@ -98,6 +100,47 @@ def test_no_module_imports_an_underscore_name_from_ramcirc():
     assert len(modules) > 5
     found = {p.name: lines for p in modules
              if (lines := _private_imports(p.read_text()))}
+    assert found == {}
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports, anywhere in it, and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_detects_each_unused_form():
+    for body, name in (("from .spectra import CayleySet", "CayleySet"),
+                       ("from .errors import ValidationError as VE", "VE"),
+                       ("from . import golden", "golden"),
+                       ("import numpy as np", "np"),
+                       ("import os.path", "os"),
+                       ("def f():\n    import mpmath as mp", "mp")):
+        assert _unused_imports(f"import math\nmath.pi\n{body}\n") == [name], body
+    ## a rebinding is not a read
+    assert _unused_imports("from .bounds import C_OFFSETS\nC_OFFSETS = ()\n") == [
+        "C_OFFSETS"]
+    assert _unused_imports("from __future__ import annotations\n"
+                           "from .errors import ValidationError\nimport os.path\n"
+                           "def f(x: ValidationError):\n    import mpmath as mp\n"
+                           "    return os.sep, mp.mpf(1)\n") == []
+
+
+def test_every_imported_name_is_used():
+    ## __init__ imports to re-export
+    src = Path(ramcirc.__file__).parent
+    modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    assert len(modules) > 5
+    found = {p.name: names for p in modules
+             if (names := _unused_imports(p.read_text()))}
     assert found == {}
 
 
