@@ -21,7 +21,8 @@ prime p and whether the cofactor t = m/p is prime fix the kind (m = p is
 kind I, t = p makes m a prime square, and any other prime t makes m a
 distinct semiprime), and numtheory.least_prime_split factorises only
 the composites without a prime factor below 1000, proving each prime
-once.
+once.  Nor does a quadratic member k^2 + 5k + c need a second square root
+for l0: it lies in band k, so l0 = 2k + 1, read from its witness.
 """
 
 from __future__ import annotations
@@ -191,7 +192,8 @@ def classify(m: int, factors=None) -> Verdict:
     in_candidate_set checks m, once; every later step takes it unchecked.
     """
     w = in_candidate_set(m)
-    l0 = trivial_bound_unchecked(m)
+    ## a quadratic member k^2 + 5k + c sits in band k, so l0 = 2k + 1
+    l0 = trivial_bound_unchecked(m) if w.k is None else 2 * w.k + 1
     if m <= 13:
         return Verdict(m, l0, NOT_IN_J, KIND_SMALL,
                        VERDICT_ALL_RAMANUJAN, None, m - 2)
@@ -256,8 +258,7 @@ def classify(m: int, factors=None) -> Verdict:
             f"witness eigenvalue l0+2 failed to beat the bound at m={m}")
     rb = ramanujan_bound(m, l0 + 2)
     return Verdict(m, l0, w, KIND_OTHER, VERDICT_ORDINARY, 0, l0,
-                   p=p, q=t if t_prime else None,
-                   mu_hat=float(l0 + 2), rb=rb, margin=rb - (l0 + 2))
+                   p, t if t_prime else None, float(l0 + 2), rb, rb - (l0 + 2))
 
 
 class OrdinaryWitness(NamedTuple):

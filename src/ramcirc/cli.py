@@ -62,10 +62,12 @@ def _emit(args, payload, lines) -> None:
 
 
 def _check_oracle(args, payload, lines, exact, hat_l, mismatch: str) -> None:
-    """Add the oracle's answer to the output; on a mismatch emit it and raise."""
-    payload["oracle"] = exact
-    lines.append(f"oracle: {exact}  ({'agree' if exact == hat_l else 'DISAGREE'})")
-    if exact != hat_l:
+    """Add the oracle's answer, and whether it agrees, to the output; on a
+    mismatch emit it and raise."""
+    agrees = exact == hat_l
+    payload.update(oracle=exact, agrees=agrees)
+    lines.append(f"oracle: {exact}  ({'agree' if agrees else 'DISAGREE'})")
+    if not agrees:
         _emit(args, payload, lines)
         raise InternalInvariantError(mismatch)
 
@@ -113,7 +115,6 @@ def cmd_hatl(args) -> int:
     lines = [f"hat_l({args.m}) = {v.hat_l}  [{v.verdict}]"]
     if args.oracle:
         exact = hat_l_exhaustive(args.m, budget=args.budget)
-        payload["agrees"] = exact == v.hat_l
         _check_oracle(args, payload, lines, exact, v.hat_l,
                       f"oracle hat_l {exact} contradicts classification "
                       f"{v.hat_l} at m={args.m}")
@@ -360,7 +361,7 @@ def cmd_hlconst(args) -> int:
 def cmd_abelian(args) -> int:
     group = AbelianGroup(tuple(_int_list(args.orders)))
     v = abelian_hat_l(group)
-    payload = {**v.to_json_dict(), "oracle": None}
+    payload = {**v.to_json_dict(), "oracle": None, "agrees": None}
     lines = [f"group = Z{list(group.orders)} (order {group.order})",
              f"l0 = {v.l0}",
              f"kind = {v.kind}" + (f" (h* = {v.h_star})" if v.h_star else ""),

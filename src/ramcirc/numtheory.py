@@ -69,7 +69,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in next(b for bound, b in _MR_TIERS if n < bound):
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    for a in bases:
         a %= n
         if a == 0:
             continue
@@ -233,7 +236,9 @@ def _least_small(n: int) -> tuple[int, int]:
         return g, 0
     if g in _SMALL_SET:
         return g, g
-    return g, next(p for p in _SMALL_PRIMES if g % p == 0)
+    for p in _SMALL_PRIMES:
+        if g % p == 0:
+            return g, p
 
 
 def jacobi(a: int, n: int) -> int:

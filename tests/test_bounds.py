@@ -77,6 +77,37 @@ class TestTrivialBound:
         assert 2 * interval_index(m) + 1 == trivial_bound(m)
 
 
+## a quadratic member k^2 + 5k + c below 2**64: the offset, then a band
+## index from K_MIN[c] up to the last band whose members stay below 2**64
+_quadratic = st.sampled_from(C_OFFSETS).flatmap(
+    lambda c: st.tuples(st.integers(K_MIN[c], isqrt(1 << 64) - 3), st.just(c)))
+
+
+class TestBandIdentity:
+    """A quadratic member m = k^2 + 5k + c has 2k + 4 or 2k + 3 as isqrt(4m),
+    so it lies in band k and l0 = 2k + 1: classify reads l0 from the
+    witness's k instead of taking a second square root."""
+
+    @staticmethod
+    def _check(k, c):
+        m = k * k + 5 * k + c
+        w = in_candidate_set(m)
+        assert (w.source, w.c, w.k) == ("quadratic", c, k), m
+        assert trivial_bound(m) == 2 * w.k + 1, m
+        assert interval_index(m) == k, m
+
+    def test_every_member_to_band_10_4(self):
+        for c in C_OFFSETS:
+            for k in range(K_MIN[c], 10 ** 4 + 1):
+                self._check(k, c)
+
+    @given(_quadratic)
+    def test_sample_below_2_64(self, kc):
+        k, c = kc
+        assert k * k + 5 * k + c < 1 << 64
+        self._check(k, c)
+
+
 class TestWindowExcess:
     def test_band_signs_match_windows(self):
         ## every odd m in band k: negative excess exactly on the window

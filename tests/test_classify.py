@@ -20,6 +20,7 @@ from ramcirc.bounds import (
     CandidateWitness,
     in_candidate_set,
     trivial_bound,
+    trivial_bound_unchecked,
     window_margin,
 )
 from ramcirc.classify import (
@@ -180,6 +181,42 @@ class TestLeastPrimeRoute:
                 assert 1000 < v.p < v.q
         assert {("I", True), ("II", False), ("other_composite", False),
                 ("other_composite", True)} <= seen
+
+    def test_fields_from_independent_arithmetic(self):
+        ## each field of an other_composite or kind I record against its own
+        ## arithmetic, so that a field stored in the wrong position fails
+        import mpmath as mp
+        kinds = {"I": 0, "other_composite": 0}
+        for m in _j_sample(7, 1000):
+            v = classify(m)
+            if v.kind not in kinds:
+                continue
+            kinds[v.kind] += 1
+            fac = factorize(m)
+            l0 = trivial_bound(m)
+            assert (v.m, v.l0, v.witness) == (m, l0, in_candidate_set(m))
+            assert v.near_threshold is None
+            if v.kind == "I":
+                assert fac.is_prime
+                assert (v.verdict, v.epsilon, v.hat_l) == ("exceptional", 2, l0 + 2)
+                assert v.p is None and v.q is None
+                with mp.workdps(60):
+                    mu = mp.sinpi(mp.mpf(l0 + 2) / m) / mp.sinpi(mp.mpf(1) / m)
+                    rb = 2 * mp.sqrt(m - l0 - 3)
+                    assert v.mu_hat == pytest.approx(float(mu), rel=1e-15)
+                    assert v.rb == pytest.approx(float(rb), rel=1e-15)
+                    assert v.margin == pytest.approx(float(rb - mu), rel=1e-9)
+                assert v.margin > 0
+                continue
+            p = fac.factors[0][0]
+            t = m // p
+            assert (v.verdict, v.epsilon, v.hat_l) == ("ordinary", 0, l0)
+            assert v.p == p
+            assert v.q == (t if len(fac.prime_list()) == 2 else None)
+            assert v.mu_hat == l0 + 2 and type(v.mu_hat) is float
+            assert v.rb == 2 * math.sqrt(m - l0 - 3)
+            assert v.margin == v.rb - v.mu_hat
+        assert min(kinds.values()) > 20, kinds
 
     def test_no_rho_below_1000(self, monkeypatch):
         ## a least prime below 1000 is found by trial division, and the
@@ -654,3 +691,46 @@ class TestModulusCheckedOnce:
             with pytest.raises(ValidationError):
                 fn(*args)
         assert self._checks(trivial_bound, 45) == self._checks(in_candidate_set, 45) == 1
+
+
+class TestSmallPrimePath:
+    """On a quadratic member whose least prime is below 1000, classify takes
+    l0 from the witness's band index, with no second square root, and
+    finds the prime with plain loops, with no generator expression."""
+
+    @staticmethod
+    def _calls(m) -> tuple[int, int]:
+        code, roots, genexprs = trivial_bound_unchecked.__code__, [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                if frame.f_code is code:
+                    roots.append(1)
+                elif frame.f_code.co_name == "<genexpr>":
+                    genexprs.append(1)
+
+        sys.setprofile(profile)
+        try:
+            classify(m)
+        finally:
+            sys.setprofile(None)
+        return len(roots), len(genexprs)
+
+    def test_no_second_root_and_no_generator(self):
+        members = [m for m in _j_members_below(10 ** 5) + _j_sample(19, 400)
+                   if in_candidate_set(m).source == "quadratic"
+                   and factorize(m).factors[0][0] < 1000]
+        assert sum(m > 1 << 40 for m in members) > 200
+        kinds = set()
+        for m in members:
+            kind = classify(m).kind
+            kinds.add(kind)
+            if kind != "II":
+                ## kind II's candidate maxima take l0 from their own (p, q)
+                assert self._calls(m) == (0, 0), m
+        assert {"other_composite", "II", "III"} <= kinds
+
+    def test_other_orders_take_one_root(self):
+        for m in (17, 27, 45, 10 ** 6 + 1, 2 ** 61 + 1):
+            assert in_candidate_set(m).k is None
+            assert self._calls(m)[0] == 1, m

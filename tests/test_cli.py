@@ -5,15 +5,21 @@ against the corresponding library call, whose values are pinned in the
 library test modules.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramcirc import cli, golden, spectra
 from ramcirc.abelian import AbelianGroup, abelian_hat_l
+from ramcirc.bounds import C_OFFSETS
 from ramcirc.classify import classify, count_exceptionals
 from ramcirc.cli import main
 from ramcirc.numtheory import count_p2_ratio, count_poly
@@ -414,13 +420,21 @@ class TestAbelian:
         assert code == 0
         got = json.loads(out)
         want = abelian_hat_l(AbelianGroup((5, 5))).to_json_dict()
-        want["oracle"] = None
+        want.update(oracle=None, agrees=None)
         assert got == want
 
     def test_oracle(self, capsys):
         code, out, _ = run(capsys, "abelian", "--orders", "5,5", "--oracle")
         assert code == 0
         assert "oracle: 11  (agree)" in out
+
+    def test_oracle_json(self, capsys):
+        code, out, _ = run(capsys, "--json", "abelian", "--orders", "5,5", "--oracle")
+        assert code == 0
+        want = abelian_hat_l(AbelianGroup((5, 5))).to_json_dict()
+        want.update(oracle=11, agrees=True)
+        assert json.loads(out) == want
+        assert list(json.loads(out))[-2:] == ["oracle", "agrees"]
 
     def test_oracle_disagreement_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "abelian_oracle", lambda group, budget: 13)
@@ -432,7 +446,7 @@ class TestAbelian:
         code, out, _ = run(capsys, "--json", "abelian", "--orders", "5,5", "--oracle")
         assert code == 3
         want = abelian_hat_l(AbelianGroup((5, 5))).to_json_dict()
-        want["oracle"] = 13
+        want.update(oracle=13, agrees=False)
         assert json.loads(out) == want
         assert out.count("\n") == 1
 
@@ -499,3 +513,53 @@ class TestProfile:
         got = json.loads(out)
         assert len(got) == 4
         assert set(got[0]) == {"x", "mu0", "mu1", "mu2", "rb"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _member(k, c):
+    return k * k + 5 * k + c
+
+
+## orders as typed: any integer in [-10, 2**70], even ones included, and
+## members k^2 + 5k + c of the candidate set, so that the factoring paths
+## and the 2**64 refusal are reached as well
+_ORDER = st.one_of(st.integers(-10, 1 << 70),
+                   st.builds(_member, st.integers(0, 1 << 35), st.sampled_from(C_OFFSETS)))
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["classify", "hatl"]), _ORDER.map(str)),
+    st.tuples(st.just("abelian"), st.just("--orders"),
+              st.lists(st.integers(-2, 60), min_size=1, max_size=2)
+              .map(lambda orders: ",".join(map(str, orders)))),
+    st.tuples(st.sampled_from(["table1", "gamma"])),
+)
+
+
+class TestFuzz:
+    """cli.main on generated arguments, in this process and starting no
+    other: every input ends in exit code 0, 2 or 3 with a message on any
+    refusal, no exception escapes main and no traceback is printed, and
+    every --json document is strict JSON."""
+
+    @settings(max_examples=300, deadline=2000)
+    @given(argv=_ARGV, as_json=st.booleans())
+    def test_main_exits_cleanly(self, argv, as_json):
+        argv = ["--json", *argv] if as_json else list(argv)
+        out, err = io.StringIO(), io.StringIO()
+        no_process = mock.Mock(side_effect=AssertionError("a process was started"))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(subprocess, "Popen", no_process), \
+                mock.patch.object(os, "fork", no_process):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                ## argparse refuses malformed arguments with exit code 2
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        if code != 0:
+            assert err.getvalue().strip(), argv
+        if as_json and out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
