@@ -432,6 +432,9 @@ def profile_point(c: int, k: int, x: float) -> ProfilePoint:
     check_offset(c)
     if k < 1:
         raise ValidationError("band index k must be positive")
+    if not 0 <= k * k + 3 * k + c - 4 < 1 << 1022:
+        raise ValidationError(
+            "k*k + 3k + c - 4 must lie in [0, 2**1022) to evaluate in doubles")
     if not 1.0 < x < 2.0:
         raise ValidationError("ratio x must lie strictly inside (1, 2)")
     if x == 1.5:

@@ -69,7 +69,6 @@ from .errors import (  # DEFAULT_BUDGET stays importable from here
 )
 from .numtheory import least_prime_split
 from .spectra import (
-    BLOCK,
     CayleySet,
     check_covalency,
     check_modulus,
@@ -358,31 +357,8 @@ def _packed_complement(m: int, d: int, l: int) -> CayleySet:
     return CayleySet.from_pairs(m, pairs[:r])
 
 
-def _unit_orbit_match(witness: CayleySet, target: CayleySet) -> bool:
-    """Whether some unit multiplier carries witness onto target.
-
-    Multiplication by a unit permutes the characters, so orbit members
-    are isospectral; the extremal witness is only ever pinned down up
-    to this action.  Each block of units maps the whole complement at
-    once, and a sorted image row equal to the sorted target is a match.
-    """
-    if witness.complement == target.complement:
-        return True
-    m, t = witness.m, np.array(target.residues())
-    w = np.array(witness.residues())
-    if len(w) != len(t):
-        return False
-    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
-    step = max(1, BLOCK // len(w))
-    for lo in range(0, len(units), step):
-        images = np.sort((units[lo:lo + step, None] * w) % m, axis=1)
-        if (images == t).all(axis=1).any():
-            return True
-    return False
-
-
 class CrosscheckReport(NamedTuple):
-    """Closed-form class maximum vs the exhaustive scan for m = p*q."""
+    """Closed-form vs exhaustive class maximum for m = p*q, family matched exactly."""
 
     m: int
     p: int
@@ -401,8 +377,9 @@ def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET) -> CrosscheckRepo
     """Validate the three-candidate formula on one semiprime order.
 
     Compares the class maximum at covalency l0 + 2 with max(mu0, mu1, mu2),
-    which semiprime_candidates refuses for q > 4p - 5, and identifies the
-    extremal set as one of the predicted families up to a unit multiplier.
+    which semiprime_candidates refuses for q > 4p - 5, and names the first
+    family (window, p_multiples, q_multiples) that the witness equals: the
+    argmax row of d = 1, q or p orders the pairs as that family does.
     """
     p, q_prime = least_prime_split(m)
     q = m // p
@@ -418,7 +395,7 @@ def semiprime_crosscheck(m: int, budget: int = DEFAULT_BUDGET) -> CrosscheckRepo
         "q_multiples": _packed_complement(m, q, l),
     }
     family = next((name for name, s in families.items()
-                   if _unit_orbit_match(cm.witness, s)), None)
+                   if s.complement == cm.witness.complement), None)
     return CrosscheckReport(m, p, q, l, mu_closed, cm.mu, delta, cm.rb,
                             family, delta <= 1e-9 and family is not None,
                             cm.witness)

@@ -428,6 +428,24 @@ class TestProfiles:
         with pytest.raises(ValidationError):
             profile_point(-5, 0, 1.2)
 
+    def test_band_index_keeps_the_radicand_in_doubles(self):
+        ## k^2 + 3k + c - 4, under the bound's square root, must lie in
+        ## [0, 2**1022); at k = 1 it is c, negative for c < 0
+        for c in C_OFFSETS:
+            if c < 0:
+                with pytest.raises(ValidationError):
+                    profile_point(c, 1, 1.2)
+            else:
+                assert profile_point(c, 1, 1.2).rb == 2 * math.sqrt(c)
+            ## the largest accepted k evaluates to finite values; k + 1 is refused
+            k = math.isqrt(1 << 1022)
+            while k * k + 3 * k + c - 4 >= 1 << 1022:
+                k -= 1
+            for x in (1.0001, 1.25, 1.75, 1.9999):
+                assert all(map(math.isfinite, profile_point(c, k, x)[2:])), (c, x)
+            with pytest.raises(ValidationError):
+                profile_point(c, k + 1, 1.25)
+
     @given(st.sampled_from((-5, -3, -1, 1, 3, 5)),
            st.integers(min_value=20, max_value=200),
            st.floats(min_value=1.05, max_value=1.95))

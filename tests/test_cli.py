@@ -514,6 +514,11 @@ class TestProfile:
         assert len(got) == 4
         assert set(got[0]) == {"x", "mu0", "mu1", "mu2", "rb"}
 
+    def test_huge_band_index_is_refused(self, capsys):
+        code, out, err = run(capsys, "profile", "--c", "1", "--k", str(10**200))
+        assert (code, out) == (2, "")
+        assert err == "error: k*k + 3k + c - 4 must lie in [0, 2**1022) to evaluate in doubles\n"
+
 
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
@@ -523,17 +528,62 @@ def _member(k, c):
     return k * k + 5 * k + c
 
 
+def _argv(*parts):
+    """argv from literal strings and strategies of a string or a tuple of them."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(
+        lambda args: tuple(a for p in args for a in ((p,) if isinstance(p, str) else p)))
+
+
+def _option(name, values):
+    ## --name=value, so that a value starting with "-" is not an option
+    return values.map(f"{name}={{}}".format)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _int_list(lo, hi, max_size):
+    return st.lists(st.integers(lo, hi), max_size=max_size).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
 ## orders as typed: any integer in [-10, 2**70], even ones included, and
 ## members k^2 + 5k + c of the candidate set, so that the factoring paths
 ## and the 2**64 refusal are reached as well
 _ORDER = st.one_of(st.integers(-10, 1 << 70),
                    st.builds(_member, st.integers(0, 1 << 35), st.sampled_from(C_OFFSETS)))
+## the admissible offsets and their neighbours; budgets from none to 10^6
+_OFFSET = st.one_of(st.sampled_from(C_OFFSETS).map(str), _ints(-7, 7))
+_BUDGET = st.sampled_from(["0", "50", "10000", "1000000"])
+## band indices up to 10^400, and around 2**511, past which k^2 passes
+## 2**1022 and a profile no longer evaluates in doubles
+_BAND = st.one_of(st.integers(-2, 100), st.integers(-2, 10**400),
+                  st.builds(lambda d, e: d * 10**e, st.integers(1, 9), st.integers(0, 400)),
+                  st.integers((1 << 511) - 3, (1 << 511) + 3)).map(str)
 _ARGV = st.one_of(
     st.tuples(st.sampled_from(["classify", "hatl"]), _ORDER.map(str)),
     st.tuples(st.just("abelian"), st.just("--orders"),
               st.lists(st.integers(-2, 60), min_size=1, max_size=2)
               .map(lambda orders: ",".join(map(str, orders)))),
-    st.tuples(st.sampled_from(["table1", "gamma"])),
+    st.tuples(st.sampled_from(["table1", "gamma", "table4", "table5", "table6"])),
+    _argv("hatl", _ints(-3, 151), "--oracle", _option("--budget", _BUDGET)),
+    _argv("abelian", _option("--orders", _int_list(-1, 27, 3)), "--oracle",
+          _option("--budget", _BUDGET)),
+    st.tuples(st.integers(-10, 1 << 70), st.integers(-5, 300)).map(
+        lambda t: ("scan", str(t[0]), str(t[0] + t[1]))),
+    _argv("spectrum", _ints(-3, 151), _option("--complement", _int_list(-200, 200, 8))),
+    _argv("profile", _option("--c", _OFFSET), _option("--k", _BAND),
+          _option("--samples", _ints(-1, 20))),
+    _argv("family", _option("--a", _ints(-2, 70)), _option("--c", _OFFSET),
+          _option("--ymax", _ints(-2, 200)), st.sampled_from([(), ("--prime-only",)])),
+    _argv("count", "p2", _option("--a", st.one_of(st.floats(0.5, 5), st.floats()).map(repr)),
+          _option("--x", _ints(-5, 10**4))),
+    _argv("count", "poly", _option("--coeffs", _int_list(-5, 5, 4)),
+          _option("--x", _ints(-5, 10**4)),
+          _option("--mode", st.sampled_from(["prime", "semiprime_distinct"]))),
+    _argv("count", "exceptional", _option("--c", _OFFSET), _option("--kmax", _ints(-5, 300))),
+    _argv("table3", _option("--kmax", _ints(-5, 60))),
 )
 
 

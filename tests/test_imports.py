@@ -144,6 +144,55 @@ def test_every_imported_name_is_used():
     assert found == {}
 
 
+def _unread_private_names(sources: list[str]) -> list[str]:
+    """The underscore names the sources define at module level and read
+    nowhere outside the statement that defines them."""
+    defined, read = {}, []
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = stmt
+            read += [(stmt, node.id if isinstance(node, ast.Name) else node.attr)
+                     for node in ast.walk(stmt)
+                     if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+                     or isinstance(node, ast.Attribute)]
+    live = {name for stmt, name in read if name in defined and defined[name] is not stmt}
+    return sorted(defined.keys() - live)
+
+
+def test_detects_each_unread_private_form():
+    for body, name in (("def _helper():\n    return 1", "_helper"),
+                       ("class _Fields:\n    pass", "_Fields"),
+                       ("_LIMIT = 3", "_LIMIT"),
+                       ("_LIMIT: int = 3", "_LIMIT"),
+                       ("_A, _B = 1, 2\nx = _A", "_B"),
+                       ## a call from its own body is not a read
+                       ("def _walk(n):\n    return _walk(n - 1)", "_walk")):
+        assert _unread_private_names([f"import math\n{body}\n"]) == [name], body
+    ## a read in another module, or through an attribute, keeps a name
+    assert _unread_private_names(["_LIMIT = 3\ndef f():\n    return _LIMIT\n",
+                                  "def _g():\n    pass\n",
+                                  "import m\nm._g()\n",
+                                  "__version__ = '1'\n"]) == []
+
+
+def test_every_private_name_is_read_in_the_package():
+    ## a helper that only the tests call is dead code in the package
+    src = Path(ramcirc.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 5
+    assert _unread_private_names([p.read_text() for p in modules]) == []
+
+
 
 
 def _module_level_imports(source: str, package: str) -> list[int]:

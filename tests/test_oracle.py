@@ -1,5 +1,6 @@
 """The exhaustive route, and its agreement with the closed forms."""
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from ramcirc.abelian import AbelianGroup, abelian_oracle
 from ramcirc.bounds import trivial_bound
 from ramcirc.classify import classify
 from ramcirc.errors import BudgetExceededError, InternalInvariantError, ValidationError
+from ramcirc.numtheory import is_prime
 from ramcirc.oracle import (
     class_all_ramanujan,
     class_max,
@@ -407,7 +409,6 @@ class TestRowsMatchTheScan:
                 ## up to a unit multiplier, which permutes the characters
                 assert got.witness.covalency == l
                 assert spectrum(got.witness).mu_max == pytest.approx(got.mu, abs=1e-12)
-                assert oracle._unit_orbit_match(got.witness, want.witness), (m, l)
                 assert _unit_orbit_match_loop(got.witness, want.witness), (m, l)
                 assert oracle.class_clean(m, l, 10**8) == (want.mu <= want.rb)
 
@@ -465,6 +466,38 @@ def _unit_orbit_match_loop(witness, target):
     m = witness.m
     return any(frozenset(u * x % m for x in witness.complement) == target.complement
                for u in range(1, m) if math.gcd(u, m) == 1)
+
+
+def _families(m, p, q, l):
+    """The three sets the closed form predicts at covalency l on Z_{p q}."""
+    return {"window": window_complement(m, l),
+            "p_multiples": oracle._packed_complement(m, p, l),
+            "q_multiples": oracle._packed_complement(m, q, l)}
+
+
+def _family_split(limit):
+    """The count of each family over the odd m = p q <= limit, primes
+    p < q <= 4p - 5.  Each m agrees, its witness is its family's set, and
+    its family is that of the argmax row, taken from the top side: the
+    window for d = 1, the multiples of p for d = q and of q for d = p."""
+    primes = [n for n in range(3, limit // 3 + 1, 2) if is_prime(n)]
+    orders = sorted(p * q for p in primes for q in primes
+                    if p < q <= 4 * p - 5 and p * q <= limit)
+    split = collections.Counter()
+    for m in orders:
+        rep = semiprime_crosscheck(m)
+        assert rep.agrees, m
+        assert rep.witness.complement == _families(m, rep.p, rep.q, rep.l)[
+            rep.family].complement, m
+        r = (rep.l - 1) // 2
+        table = oracle.row_table((m,), r, 10**8)
+        absmax, from_top = table.extremes(r)
+        i = int(np.argmax(absmax))
+        assert from_top[i], m
+        assert rep.family == {1: "window", rep.q: "p_multiples",
+                              rep.p: "q_multiples"}[table.divisors[i]], m
+        split[rep.family] += 1
+    return split
 
 
 def _recording(calls):
@@ -577,24 +610,22 @@ class TestCrosscheck:
         assert r.delta <= 1e-9
 
     def test_family_match_equals_the_unit_loop(self):
-        answers = []
+        ## the row engine fixes the witness exactly, so equality names the
+        ## family that a search over every unit multiplier names
         for m in (15, 21, 35, 55, 65, 77, 91, 143, 187, 221):
             r = semiprime_crosscheck(m)
-            families = {"window": window_complement(m, r.l),
-                        "p_multiples": oracle._packed_complement(m, r.p, r.l),
-                        "q_multiples": oracle._packed_complement(m, r.q, r.l)}
-            for name, s in families.items():
-                ## the family against the witness, and against its own image
-                ## under the unit 2
-                twice = CayleySet.from_residues(m, [2 * x for x in s.complement])
-                for a, b in ((r.witness, s), (twice, s)):
-                    got = oracle._unit_orbit_match(a, b)
-                    assert got == _unit_orbit_match_loop(a, b), (m, name)
-                    answers.append((got, a == b))
+            families = _families(m, r.p, r.q, r.l)
             assert r.family == next((name for name, s in families.items()
                                      if _unit_orbit_match_loop(r.witness, s)), None)
-        ## matches through the identity and through other units, and misses
-        assert {(True, True), (True, False), (False, False)} <= set(answers)
+
+    def test_family_is_the_argmax_row_of_every_semiprime_to_5001(self):
+        assert _family_split(5001) == {"window": 116, "q_multiples": 42,
+                                       "p_multiples": 28}
+
+    @pytest.mark.slow
+    def test_family_is_the_argmax_row_of_every_semiprime_to_20001(self):
+        assert _family_split(20001) == {"window": 382, "q_multiples": 117,
+                                        "p_multiples": 100}
 
     def test_packed_family_takes_the_residue_classes_in_turn(self):
         ## every multiple of d below m/2, then the pairs = +-1, +-2, ...
