@@ -49,7 +49,6 @@ from .errors import InternalInvariantError, ValidationError, check_budget, lazy_
 from .numtheory import (
     Factorization,
     is_prime,
-    isqrt_array,
     least_prime_factor,
     least_prime_split,
 )
@@ -466,40 +465,45 @@ _SCAN_CHUNK = 1 << 16
 def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
     """classify(m) for odd m in [lo, hi], 31 <= lo, hi < 2**40.
 
-    Orders outside the candidate set whose window margin is at most
-    -ESCALATION_MARGIN get their Verdict from numpy arrays that repeat
-    the scalar arithmetic of trivial_bound, in_candidate_set (one root,
-    rounded down to odd), window_eigenvalue and ramanujan_bound
-    operation for operation (the reduction of l mod 2m is left out:
-    l < m); that is one record per order, as every one of them holds
-    the shared witness NOT_IN_J.  Every other order goes through
-    classify, which also raises on a non-negative margin outside the
-    candidate set.
+    Band j is the odd m in [j^2 + 3j + 3, j^2 + 5j + 5], all with
+    l0 = 2j + 1; its members of J are j^2 + 5j + c, one for each of the
+    six c with j >= K_MIN[c], and it has no others, since the small
+    window ends below band 4, which starts at 31.  A walk over the bands
+    gives the l0 column as runs and the members' positions.
+    Every other order whose window margin (as window_eigenvalue and
+    ramanujan_bound compute it; l < m, so l mod 2m is l) is at most
+    -ESCALATION_MARGIN gets a record from the numpy columns, holding the
+    shared witness NOT_IN_J.  The rest go through classify, in ascending
+    order, which also raises on a non-negative margin outside J.
     """
+    ms = range(lo, hi + 1, 2)
+    l0s, ls, runs, members = [], [], [], []
+    j, start = (trivial_bound_unchecked(lo) - 1) // 2, lo
+    while start <= hi:
+        base = j * j + 5 * j
+        n = (min(hi, base + 5) - start) // 2 + 1
+        l0s += [2 * j + 1] * n
+        ls.append(2 * j + 3)
+        runs.append(n)
+        members += [(base + c - lo) // 2 for c in C_OFFSETS
+                    if j >= K_MIN[c] and lo <= base + c <= hi]
+        start, j = base + 7, j + 1
     m = np.arange(lo, hi + 1, 2, dtype=np.int64)
-    l0 = 2 * ((isqrt_array(4 * m) - 3) // 2) + 1
-    s = isqrt_array(4 * m + CPRIMES[-5])
-    s -= 1 - (s & 1)
-    cp = s * s - 4 * m
-    k = (s - 5) // 2
-    ## K_MIN is the same for every offset but c = -5, the largest c'
-    member = (cp >= CPRIMES[5]) & (k >= K_MIN[5]) \
-        & ((cp < CPRIMES[-5]) | (k >= K_MIN[-5]))
-    l = l0 + 2
+    l = np.repeat(ls, runs)
     mu = np.sin(math.pi * l / m) / np.sin(math.pi / m)
     rb = 2.0 * np.sqrt(m - l - 1)
     margin = rb - mu
-    fast = ~member & (margin <= -precision.ESCALATION_MARGIN)
+    slow = margin > -precision.ESCALATION_MARGIN
+    slow[members] = True
     ## every record is filled by tuple.__new__ from columns, in C, with
-    ## no per-order Python frame; the other orders' records are then
+    ## no per-order Python frame; the slow orders' records are then
     ## replaced by classify's
     none = repeat(None)
-    ms, l0s = m.tolist(), l0.tolist()
     verdicts = list(map(tuple.__new__, repeat(Verdict), zip(
         ms, l0s, repeat(NOT_IN_J), repeat(KIND_OUTSIDE), repeat(VERDICT_ORDINARY),
         repeat(0), l0s, none, none, mu.tolist(), rb.tolist(), margin.tolist(),
         none)))
-    for i in np.flatnonzero(~fast).tolist():
+    for i in np.flatnonzero(slow).tolist():
         verdicts[i] = classify(ms[i])
     return verdicts
 
@@ -507,9 +511,10 @@ def _scan_chunk(lo: int, hi: int) -> list[Verdict]:
 def scan_range(lo: int, hi: int) -> list[Verdict]:
     """Classify every odd order m >= 3 in [lo, hi]; raise if there is none.
 
-    In [31, 2**40), orders outside the candidate set J are decided in
-    numpy batches, and everything else goes through classify, with
-    output identical to calling classify on each order.
+    In [31, 2**40) it walks the bands j, whose orders share l0 = 2j + 1
+    and hold J's members j^2 + 5j + c (from 31 on J has no others);
+    orders outside J are decided in numpy batches, the rest by classify,
+    with output identical to calling classify on each order.
     """
     lo = max(3, lo | 1)  # the first odd order >= max(lo, 3)
     if lo > hi:

@@ -293,19 +293,6 @@ def sieve_primes(limit: int) -> np.ndarray:
     return _sieve_cached(int(limit))
 
 
-def isqrt_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise math.isqrt of an int64 array with 0 <= x < 2**52.
-
-    A double holds every such x exactly and its square root is correctly
-    rounded, so the truncated float root is off by at most one; one
-    integer correction each way makes it exact.
-    """
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s -= s * s > x
-    s += (s + 1) * (s + 1) <= x
-    return s
-
-
 ## ---------------------------------------------------------------- families
 
 class FamilyPoint(NamedTuple):
@@ -397,6 +384,8 @@ def root_count_mod_p(p: int, coeffs) -> int:
     if not is_prime(p) or p >= 10 ** 6:
         raise ValidationError("root counting needs a prime p < 10**6")
     cs = [a % p for a in coeffs]
+    if not cs:
+        raise ValidationError("a polynomial needs at least one coefficient")
     return sum(1 for x in range(p) if poly_eval(cs, x) % p == 0)
 
 
@@ -466,6 +455,8 @@ def count_poly(coeffs, x: int, mode: str = "prime") -> int:
     """Count 1 <= k <= x with f(k) prime, or a distinct-prime semiprime."""
     if mode not in ("prime", "semiprime_distinct"):
         raise ValidationError("mode must be 'prime' or 'semiprime_distinct'")
+    if len(coeffs) == 0:
+        raise ValidationError("a polynomial needs at least one coefficient")
     check_budget(x, "polynomial values")
     total = 0
     for k in range(1, x + 1):

@@ -501,6 +501,25 @@ def _assert_same_records(got, want):
     assert all(type(v.witness) is CandidateWitness for v in got)
 
 
+## band j holds the odd m in [j^2 + 3j + 3, j^2 + 5j + 5] and band j + 1
+## starts at j^2 + 5j + 7; c = -5 joins J at K_MIN[-5] = 19, so the order
+## j^2 + 5j - 5 is outside J at j = 18 and inside it at j = 19
+_BAND_INDICES = (4, 5, 18, 19, 20, 1000, 1 << 19)
+
+
+def _band_edge_blocks(j):
+    """Blocks from 31 on that start or end at an edge of band j, one-order
+    blocks at each j^2 + 5j + c, and the whole band while it is short."""
+    base = j * j + 5 * j
+    blocks = [(base + c, base + c) for c in C_OFFSETS]
+    for edge in (j * j + 3 * j + 3, base + 5, base + 7):
+        for width in (0, 2, 400):
+            blocks += [(edge, edge + width), (max(31, edge - width), edge)]
+    if j <= 1000:
+        blocks.append((j * j + 3 * j + 3, base + 5))
+    return blocks
+
+
 class TestScanBatches:
     """scan_range decides most orders in numpy batches; each Verdict must
     equal the one classify gives, field for field and bit for bit."""
@@ -531,6 +550,42 @@ class TestScanBatches:
         monkeypatch.setattr(precision, "ESCALATION_MARGIN", 1e6)
         for lo, hi in ((3, 301), (10 ** 6 + 1, 10 ** 6 + 201)):
             _assert_same_records(scan_range(lo, hi), _per_order(lo, hi))
+
+    @pytest.mark.parametrize("j", _BAND_INDICES)
+    def test_blocks_at_band_edges_and_members(self, j):
+        for lo, hi in _band_edge_blocks(j):
+            _assert_same_records(scan_range(lo, hi), _per_order(lo, hi))
+
+    @pytest.mark.parametrize("j", _BAND_INDICES)
+    def test_the_walk_alone_sends_each_member_to_classify(self, monkeypatch, j):
+        ## every member's window margin is positive, so the margin would
+        ## send it to classify too; with that route shut, a member the walk
+        ## missed would get an outside_J record, and an order it wrongly
+        ## named would reach classify
+        monkeypatch.setattr(precision, "ESCALATION_MARGIN", -math.inf)
+        seen = []
+
+        def counting(m, **kw):
+            seen.append(m)
+            return classify(m, **kw)
+
+        monkeypatch.setattr(classify_module, "classify", counting)
+        for lo, hi in _band_edge_blocks(j):
+            seen.clear()
+            got = scan_range(lo, hi)
+            assert seen == [m for m in range(lo, hi + 1, 2) if in_candidate_set(m).member]
+            _assert_same_records(got, _per_order(lo, hi))
+
+    def test_block_ending_at_2_pow_40_minus_1(self):
+        hi = (1 << 40) - 1
+        lo = hi - 2 * 999
+        _assert_same_records(scan_range(lo, hi), _per_order(lo, hi))
+
+    @given(st.integers(31, (1 << 40) - 1), st.integers(1, 500))
+    def test_random_blocks_below_2_pow_40(self, lo, n):
+        lo |= 1
+        hi = min(lo + 2 * (n - 1), (1 << 40) - 1)
+        _assert_same_records(scan_range(lo, hi), _per_order(lo, hi))
 
     def test_only_candidates_reach_classify(self, monkeypatch):
         lo, hi = 10 ** 6 + 1, 10 ** 6 + 40001

@@ -15,7 +15,7 @@ import subprocess
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramcirc import cli, golden, spectra
 from ramcirc.abelian import AbelianGroup, abelian_hat_l
@@ -360,6 +360,11 @@ class TestCount:
         got = json.loads(out)
         assert got["count"] == count_poly([1, 5, -5], 50, "semiprime_distinct")
 
+    def test_poly_without_coefficients_exits_2(self, capsys):
+        code, out, err = run(capsys, "count", "poly", "--coeffs", "", "--x", "100")
+        assert code == 2 and out == ""
+        assert "coefficient" in err and "Traceback" not in err
+
 
 class TestBudget:
     ## the sieve guard raises before any allocation, so these stay cheap
@@ -595,6 +600,8 @@ class TestFuzz:
 
     @settings(max_examples=300, deadline=2000)
     @given(argv=_ARGV, as_json=st.booleans())
+    ## _int_list draws the empty list too; this pins that case on every run
+    @example(argv=("count", "poly", "--coeffs=", "--x=100"), as_json=False)
     def test_main_exits_cleanly(self, argv, as_json):
         argv = ["--json", *argv] if as_json else list(argv)
         out, err = io.StringIO(), io.StringIO()

@@ -27,8 +27,17 @@ from pathlib import Path
 import ramcirc
 
 
+def _literal_start(arg: ast.expr) -> str:
+    """The literal text a string or f-string argument starts with."""
+    if isinstance(arg, ast.JoinedStr) and arg.values:
+        arg = arg.values[0]
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+
+
 def _deferred_imports(source: str) -> list[int]:
-    """Line numbers of imports of ramcirc made inside a function body."""
+    """Line numbers of imports of ramcirc made inside a function body: import
+    statements, and calls of importlib.import_module or __import__ whose
+    first argument is a string or f-string naming ramcirc."""
     found = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -38,6 +47,10 @@ def _deferred_imports(source: str) -> list[int]:
                 names = [f"{'.' * node.level}{node.module or ''}"]
             elif isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
+            elif (isinstance(node, ast.Call) and node.args
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("import_module", "__import__")):
+                names = [_literal_start(node.args[0])]
             else:
                 continue
             if any(n.startswith(".") or n.split(".")[0] == "ramcirc" for n in names):
@@ -49,10 +62,22 @@ def test_detects_each_form():
     for body in ("from .classify import classify",
                  "from ramcirc.classify import classify",
                  "import ramcirc.numtheory",
-                 "import math, ramcirc"):
+                 "import math, ramcirc",
+                 "importlib.import_module('ramcirc.oracle')",
+                 "importlib.import_module('.oracle', 'ramcirc')",
+                 "importlib.import_module(f'ramcirc.{name}')",
+                 "import_module(f'.{name}', __package__)",
+                 "__import__('ramcirc.golden')",
+                 "__import__(f'ramcirc.{name}', fromlist=['x'])"):
         assert _deferred_imports(f"def f():\n    {body}\n") == [2], body
     assert _deferred_imports("from .errors import ValidationError\nimport math\n"
                              "def f():\n    import math\n") == []
+    ## other modules, a name computed at run time, and module-level calls
+    assert _deferred_imports("importlib.import_module('ramcirc.oracle')\n"
+                             "def f(name):\n    importlib.import_module('json')\n"
+                             "    __import__(f'{name}.x')\n"
+                             "    importlib.import_module(name)\n"
+                             "    return __import__('ramcircle')\n") == []
 
 
 def test_no_module_imports_ramcirc_inside_a_function():

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +16,6 @@ from ramcirc.numtheory import (
     family_scan,
     hardy_littlewood_constant,
     is_distinct_semiprime,
-    isqrt_array,
     is_prime,
     jacobi,
     landau_normalizer,
@@ -295,21 +293,6 @@ class TestSieve:
             DEFAULT_BUDGET + 1, DEFAULT_BUDGET)
 
 
-class TestIsqrtArray:
-    def test_around_squares_near_2_pow_21(self):
-        ## 4m + c' stays below 2^42 for m < 2^40, so its root is near 2^21
-        s = np.arange((1 << 21) - 64, (1 << 21) + 64, dtype=np.int64)
-        for d in (-1, 0, 1):
-            x = s * s + d
-            assert isqrt_array(x).tolist() == [math.isqrt(v) for v in x.tolist()]
-
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 52) - 1),
-                    min_size=1, max_size=50))
-    def test_matches_math_isqrt(self, xs):
-        got = isqrt_array(np.array(xs, dtype=np.int64))
-        assert got.tolist() == [math.isqrt(v) for v in xs]
-
-
 class TestFamily:
     @given(st.integers(min_value=1, max_value=100),
            st.integers(min_value=-10 ** 4, max_value=10 ** 4),
@@ -367,6 +350,14 @@ class TestCounting:
         assert count_poly((1, 5, 5), 4, "prime") == 4
         with pytest.raises(ValidationError):
             count_poly((1, 0, 1), 10, "semiprime")
+
+    @pytest.mark.parametrize("coeffs", [(), []])
+    def test_empty_coefficient_list_is_refused(self, coeffs):
+        ## an empty list is no polynomial: poly_eval reads it as 0
+        with pytest.raises(ValidationError, match="coefficient"):
+            count_poly(coeffs, 100)
+        with pytest.raises(ValidationError, match="coefficient"):
+            root_count_mod_p(7, coeffs)
 
     def test_distinct_semiprime_predicate(self):
         assert is_distinct_semiprime(15)
