@@ -20,7 +20,8 @@ So a member of the candidate set needs no full factorisation: its least
 prime p and whether the cofactor t = m/p is prime fix the kind (m = p is
 kind I, t = p makes m a prime square, and any other prime t makes m a
 distinct semiprime), and numtheory.least_prime_split factorises only
-the composites without a prime factor below 1000, proving each prime
+the composites without a prime factor below 2^14 (trial division takes
+the primes below 1000, then those in (1000, 2^14)), proving each prime
 once.  Nor does a quadratic member k^2 + 5k + c need a second square root
 for l0: it lies in band k, so l0 = 2k + 1, read from its witness.
 """

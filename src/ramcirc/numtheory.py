@@ -7,12 +7,16 @@ deterministic Miller-Rabin whose bases are sized to n: (2, 7, 61) below
 4,759,123,141 and the first six primes below 3,474,749,660,383, the
 least strong pseudoprimes to those sets (Jaeschke 1993), and Sinclair's
 seven bases up to 2**64.  Factorisation, the least prime factor and
-least_prime_split share one trial-division table, the primes below 1000,
-and one gcd against their product skips it for an input none of them
+least_prime_split share one trial division in two tiers: the primes
+below 1000, then, only when none of them divides, the primes in
+(1000, 2**14), that second table built on first use.  One gcd against
+each table's product skips the table for an input none of its primes
 divides; what is left is split with Brent's cycle-finding variant of
-Pollard rho, proving each prime it meets once.  least_prime_split reads
-the cofactor's primality from that one gcd wherever the cofactor holds a
-table prime, and runs Miller-Rabin only on a cofactor free of them.
+Pollard rho, proving each prime it meets once.  The rho loop takes 8
+steps a pass and reduces the running product of differences once per
+four.  least_prime_split reads the cofactor's primality from the gcd
+that found the least prime wherever the cofactor holds a prime of that
+table, and runs Miller-Rabin only on a cofactor free of them.
 """
 
 from __future__ import annotations
@@ -42,11 +46,35 @@ _MR_TIERS = ((4759123141, (2, 7, 61)),
              (3474749660383, (2, 3, 5, 7, 11, 13)),
              (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)))
 
-## the trial-division table: every prime below 1000, and their product
-_SMALL_PRIMES = (2,) + tuple(p for p in range(3, 1000, 2)
-                             if all(p % d for d in range(3, isqrt(p) + 1, 2)))
-_SMALL_SET = frozenset(_SMALL_PRIMES)
-_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+## the trial division's two tiers: the primes below 1000, then those in
+## (1000, _TRIAL_LIMIT), the second tier only for an n none of the first
+## divides
+_TRIAL_LIMIT = 1 << 14
+
+
+class _Table(NamedTuple):
+    primes: tuple[int, ...]  # ascending
+    members: frozenset[int]
+    product: int
+
+
+def _table(lo: int, hi: int) -> _Table:
+    """The primes in [lo, hi), lo >= 2, by a pure-Python sieve: numpy
+    stays unloaded."""
+    sieve = bytearray([1]) * hi
+    for p in range(2, isqrt(hi - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+    primes = tuple(p for p in range(lo, hi) if sieve[p])
+    return _Table(primes, frozenset(primes), math.prod(primes))
+
+
+_SMALL = _table(2, 1000)
+
+
+@lru_cache(maxsize=1)
+def _second_table() -> _Table:
+    return _table(1000, _TRIAL_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -89,24 +117,48 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite n (n odd, no small factors)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of composite n (n odd, no small factors).
+
+    Brent's loop, 8 steps a pass with the product q of differences
+    reduced once per four, so q, every gcd and the factor returned are
+    those of reducing after each step: r & 7 leftover steps run only
+    while r < 8, since the gcd batch of 128 is a multiple of 8.
+    """
     for c in range(1, 100):
-        y, m_batch, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
+        y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
-            for _ in range(r):
+            for _ in range(r >> 3):
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+            for _ in range(r & 7):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m_batch, r - k)):
+                steps = min(128, r - k)
+                for _ in range(steps >> 3):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y4 = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y4) % n
+                    y1 = (y4 * y4 + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(steps & 7):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = gcd(q, n)
-                k += m_batch
+                k += 128
             r *= 2
         if g == n:
             g = 1
@@ -119,8 +171,8 @@ def _brent_rho(n: int) -> int:
 
 
 def _large_primes(n: int) -> list[int]:
-    """The prime factors of n > 1, with multiplicity and unsorted, for n
-    free of primes below 1000: each part is proven prime, or split by
+    """The prime factors of n > 1, with multiplicity and unsorted, for odd
+    n free of the table primes: each part is proven prime, or split by
     Brent rho, exactly once."""
     out = []
     stack = [n]
@@ -176,69 +228,78 @@ class Factorization(_FactorizationFields):
 
 
 def factorize(n: int) -> Factorization:
-    """Full factorisation for 1 <= n < 2**64."""
+    """Full factorisation for 1 <= n < 2**64.
+
+    The table primes are divided out least first, each found as the
+    least prime factor is, and only a rest free of them goes to Brent rho.
+    """
     if not isinstance(n, int) or n < 1 or n >= 1 << 64:
         raise ValidationError("factorisation is limited to 64-bit inputs")
     factors: dict[int, int] = {}
-    ## g holds the small primes that divide n and are not yet divided out
-    rest, g = n, gcd(n, _SMALL_PRODUCT)
-    for p in _SMALL_PRIMES:
-        if g == 1:
+    rest = n
+    while rest > 1:
+        p = _least_tabled(rest)[1]
+        if not p:
+            for q in _large_primes(rest):
+                factors[q] = factors.get(q, 0) + 1
             break
-        if g % p == 0:
-            g //= p
-            while rest % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                rest //= p
-    if rest > 1:
-        for q in _large_primes(rest):
-            factors[q] = factors.get(q, 0) + 1
+        while rest % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rest //= p
     return Factorization(n, tuple(sorted(factors.items())))
 
 
 def least_prime_factor(n: int) -> int:
     """The least prime factor of 2 <= n < 2**64.
 
-    Only an n with no prime factor below 1000 is factorised; the others
-    take one gcd and at most a scan of the table.
+    Only an n with no prime factor below 2**14 is factorised; the others
+    take one gcd per trial-division table reached and at most a scan of
+    the table whose gcd is not 1.
     """
-    p = _least_small(n)[1]
+    p = _least_tabled(n)[1]
     return p or min(_large_primes(n))
 
 
 def least_prime_split(n: int) -> tuple[int, bool]:
     """The least prime factor p of 2 <= n < 2**64, and whether n/p is prime.
 
-    For p below 1000 the one gcd g of n with the table product decides
-    the cofactor t = n/p whenever t holds a table prime, that is when
-    g != p or p divides t: then t is prime exactly when it is a table
-    prime.  Only a t free of table primes takes a primality test.  For
+    For p below 2**14, the gcd g of n with the product of the table
+    that holds p decides the cofactor t = n/p whenever t holds a prime
+    of that table, that is when g != p or p divides t: then t is prime
+    exactly when it is one of that table's primes (t has no prime of an
+    earlier table).  Only a t free of them takes a primality test.  For
     larger p, t's primality is read from the prime factors that proved n
     prime or split it, so no prime is proven twice.
     """
-    g, p = _least_small(n)
+    g, p, members = _least_tabled(n)
     if not p:
         primes = _large_primes(n)
         return min(primes), len(primes) == 2
     t = n // p
     if g != p or t % p == 0:
-        return p, t in _SMALL_SET
+        return p, t in members
     return p, is_prime(t)
 
 
-def _least_small(n: int) -> tuple[int, int]:
-    """g = gcd(n, product of the table primes) and the least table prime
-    dividing n, 0 when there is none, for 2 <= n < 2**64."""
+def _least_tabled(n: int) -> tuple[int, int, frozenset[int]]:
+    """For 2 <= n < 2**64: the gcd g of n with the product of the first
+    table that has a prime dividing n, the least such prime, and that
+    table's primes; g = 1 and p = 0 when no prime below 2**14 divides n.
+    The second table is reached only when the gcd with the first is 1."""
     if not isinstance(n, int) or n < 2 or n >= 1 << 64:
         raise ValidationError("least prime factors are limited to 2 <= n < 2**64")
-    g = gcd(n, _SMALL_PRODUCT)
+    table = _SMALL
+    g = gcd(n, table.product)
     if g == 1:
-        return g, 0
-    if g in _SMALL_SET:
-        return g, g
-    for p in _SMALL_PRIMES:
+        table = _second_table()
+        g = gcd(n, table.product)
+        if g == 1:
+            return g, 0, table.members
+    if g in table.members:
+        return g, g, table.members
+    for p in table.primes:
         if g % p == 0:
-            return g, p
+            return g, p, table.members
 
 
 def jacobi(a: int, n: int) -> int:

@@ -160,6 +160,38 @@ def _j_sample(seed, size):
     return out
 
 
+_PRIMES_BELOW_1000 = math.prod(p for p in range(2, 1000) if is_prime(p))
+
+
+def brent_rho_reference(n):
+    """Brent rho as first written, one step and one reduction at a time:
+    the reference for numtheory._brent_rho's unrolled loop."""
+    for c in range(1, 100):
+        y, m_batch, g, r, q = 2, 128, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m_batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += m_batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    raise AssertionError(f"factor search failed for {n}")
+
+
 class TestLeastPrimeRoute:
     """classify reads the least prime factor and the primality of the
     cofactor; with a full factorisation supplied it must agree exactly."""
@@ -218,9 +250,10 @@ class TestLeastPrimeRoute:
             assert v.margin == v.rb - v.mu_hat
         assert min(kinds.values()) > 20, kinds
 
-    def test_no_rho_below_1000(self, monkeypatch):
-        ## a least prime below 1000 is found by trial division, and the
-        ## cofactor needs only is_prime, however hard it is to factor
+    def test_no_rho_below_2_pow_14(self, monkeypatch):
+        ## a least prime below 2**14 is found by the two trial-division
+        ## tables, and the cofactor needs only is_prime, however hard it is
+        ## to factor: rho runs exactly for a composite with no such prime
         numtheory = importlib.import_module("ramcirc.numtheory")
         rho = numtheory._brent_rho
         calls = []
@@ -230,20 +263,41 @@ class TestLeastPrimeRoute:
             return rho(n)
 
         sample = []
-        for m in _j_sample(11, 300):
+        for m in _j_sample(11, 500):
             fac = factorize(m)
             p, t = fac.factors[0][0], m // fac.factors[0][0]
-            ## factorize(m) would run rho on a composite cofactor t that
-            ## has no prime factor below 1000
+            ## a composite cofactor t free of the primes below 1000, which
+            ## classify tests for primality and never factorises
             hard = p < 1000 and t > 1 and not is_prime(t) \
                 and factorize(t).factors[0][0] > 1000
-            sample.append((m, p < 1000 or fac.is_prime, hard))
+            sample.append((m, p, not fac.is_prime, hard))
         assert sum(hard for *_, hard in sample) > 10
+        assert sum(composite and 1000 < p < 1 << 14
+                   for _, p, composite, _ in sample) > 10
+        assert sum(composite and p > 1 << 14 for _, p, composite, _ in sample) > 10
         monkeypatch.setattr(numtheory, "_brent_rho", counting)
-        for m, no_rho, _ in sample:
+        for m, p, composite, _ in sample:
             calls.clear()
             classify(m)
-            assert (not calls) == no_rho, m
+            assert bool(calls) == (composite and p > 1 << 14), m
+
+    def test_rho_matches_reference_loop(self):
+        ## the unrolled loop returns the reference loop's factor on every
+        ## composite without a prime below 1000 (those rho met before the
+        ## second table), on semiprimes whose least prime is just above
+        ## 2**14, near 2**20 and 2**31 - 1, on a product of three primes,
+        ## and on 19687 * (2**40 + 15), split at r = 4, so the leftover
+        ## steps of both loops run
+        cases = [m for m in _j_sample(11, 2000)
+                 if math.gcd(m, _PRIMES_BELOW_1000) == 1 and not is_prime(m)]
+        assert len(cases) > 200
+        cases += [16411 * 16417, 16411 * (2 ** 40 + 15), 1048573 * 1048583,
+                  (2 ** 31 - 1) * 2147483659, 2097169 * 2097211 * 2097223,
+                  19687 * (2 ** 40 + 15)]
+        rho = importlib.import_module("ramcirc.numtheory")._brent_rho
+        for n in cases:
+            d = rho(n)
+            assert 1 < d < n and n % d == 0 and d == brent_rho_reference(n), n
 
     def test_each_prime_proven_once(self, monkeypatch):
         ## least_prime_split reads the cofactor's primality from the primes

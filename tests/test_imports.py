@@ -311,13 +311,15 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
 
 def test_numpy_loads_on_first_use():
     ## the benchmark's set-up, then orders of kind I, II and other_composite
-    ## in [2**40, 2**64) and table1: none of them touches an array
+    ## in [2**40, 2**64), the last with its least prime 3181 in the second
+    ## trial-division table, and table1: none of them touches an array
     code = ("import contextlib, importlib, io, sys\n"
             "import ramcirc.cli\n"
             "from ramcirc.classify import classify, scan_range, thresholds\n"
             "thresholds()\n"
             "kinds = [classify(m).kind for m in\n"
-            "         (47873730318131, 3128138740367, 2927032301120969)]\n"
+            "         (47873730318131, 3128138740367, 2927032301120969,\n"
+            "          477712114252685729)]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    table1 = ramcirc.cli.main(['table1'])\n"
             "print(kinds, table1, 'numpy._core' in sys.modules, 'numpy.core' in sys.modules)\n"
@@ -327,7 +329,7 @@ def test_numpy_loads_on_first_use():
             "print([importlib.import_module(f'ramcirc.{name}').np is numpy\n"
             "       for name in ('spectra', 'oracle', 'numtheory', 'classify')])\n")
     assert _python(code).splitlines() == [
-        "['I', 'II', 'other_composite'] 0 False False",
+        "['I', 'II', 'other_composite', 'other_composite'] 0 False False",
         "True",
         "[True, True, True, True]",
     ]

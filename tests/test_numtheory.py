@@ -1,5 +1,6 @@
 """Primality, factorisation, symbols, families, and the counting layer."""
 
+import importlib
 import math
 
 import pytest
@@ -196,13 +197,46 @@ class TestLeastPrimeFactor:
             1009 * 1013: 1009,
             ## the largest prime below 2**64
             18446744073709551557: 18446744073709551557,
+            ## around the end of the second trial-division table at 2**14:
+            ## 16381 is the last prime in it, 16411 the first prime past it
+            16381 ** 2: 16381,
+            16381 * 16411: 16381,
+            16411 ** 2: 16411,
+            1009 * 16411 * (2 ** 31 - 1): 1009,
+            16411 * (2 ** 31 - 1): 16411,
+            ## a first-table p whose cofactor is a second-table prime
+            997 * 16381: 997,
         }
         for n, p in cases.items():
             assert n < 2 ** 64
             assert least_prime_factor(n) == p == factorize(n).factors[0][0], n
+            assert least_prime_split(n) == (p, twelve_base_prime(n // p)), n
         assert is_distinct_semiprime(1009 * 1013)
+        assert is_distinct_semiprime(16381 * 16411)
         assert not is_distinct_semiprime(1009 ** 2)
         assert not is_distinct_semiprime(18446744073709551557)
+
+    def test_second_table_gcd_decides_the_cofactor(self, monkeypatch):
+        ## with p in (1000, 2**14) the second table's gcd shows whether
+        ## t = n/p holds one of its primes, and then t is prime exactly when
+        ## it is one: only a t free of them takes a primality test
+        numtheory = importlib.import_module("ramcirc.numtheory")
+        prove = numtheory.is_prime
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return prove(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counting)
+        cases = {1009 * 1013: 0, 16381 ** 2: 0, 1009 * 1013 * 1019: 0,
+                 1009 ** 3: 0, 1009 * (2 ** 31 - 1): 1, 16381 * 16411: 1}
+        for n, tests in cases.items():
+            calls.clear()
+            p, t_prime = least_prime_split(n)
+            assert (p, t_prime) == (least_prime_factor(n),
+                                    twelve_base_prime(n // p)), n
+            assert len(calls) == tests, (n, calls)
 
     def test_carmichael_numbers(self):
         ## composites that pass the Fermat test to every coprime base; the
