@@ -70,8 +70,6 @@ from .oracle import (
     CrosscheckReport,
     class_all_ramanujan,
     class_max,
-    class_size,
-    enumerate_class,
     hat_l_exhaustive,
     semiprime_crosscheck,
 )

@@ -14,7 +14,9 @@ checks this on a group of any order with ramcirc.oracle.climb, which
 reads each class maximum off the sorted row of (0, ..., 0, d) for each
 proper divisor d of the exponent L (one row on Z_p x Z_p), written from
 the multiplicities of its values with no sort; the budget still charges
-(d(L) - 1) x h entries, h = (|G| - 1)/2.
+(d(L) - 1) x h entries, h = (|G| - 1)/2.  A class the rows cannot
+settle is refused with a ValidationError; no odd abelian group of order
+at most 30001 reaches one.
 
 Cayley sets, spectra and the Ramanujan predicate are ramcirc.spectra's,
 whose CayleySet takes an AbelianGroup; abelian_is_ramanujan is
@@ -209,13 +211,14 @@ def abelian_oracle(group: AbelianGroup, budget: int = DEFAULT_BUDGET) -> int:
 
     Classes of covalency at most l0 are Ramanujan outright, so
     oracle.climb starts at l0 + 2 and runs up to |G| - 2, stopping at the
-    first class containing a valid (connected) violator; a class left
-    empty by the connectivity requirement passes vacuously.  Every class
+    first class containing a valid (connected) violator.  Every class
     reads one oracle.row_table, a sorted row of h = (|G| - 1)/2 entries
     per proper divisor of the exponent L, oracle.order_divisors (one row
     on Z_p x Z_p), written from multiplicities with no sort; the budget
-    is still charged (d(L) - 1) x h entries.  A table of more than budget entries, or a
-    class of more than budget sets where class_clean falls back to
-    oracle.enumerate_class, raises BudgetExceededError.
+    is still charged (d(L) - 1) x h entries, and a table of more than
+    budget entries raises BudgetExceededError.  A class the rows cannot
+    settle, where generation binds and the first violating row's extreme
+    set does not generate, is refused by class_clean with a
+    ValidationError.
     """
     return climb(group, group.order - 2, budget, class_clean)

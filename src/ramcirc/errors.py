@@ -22,7 +22,7 @@ missing numpy still fails at import time, with ModuleNotFoundError.
 import importlib.util
 import sys
 
-## the largest enumeration or sieve any entry point runs by default
+## the largest table, sieve or loop any entry point runs by default
 DEFAULT_BUDGET = 100_000_000
 
 
@@ -35,13 +35,13 @@ class InternalInvariantError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exhaustive enumeration or a sieve would exceed its budget."""
+    """Raised when a table, a sieve or a loop would exceed its budget."""
 
-    def __init__(self, required: int, budget: int, unit: str = "subsets"):
+    def __init__(self, required: int, budget: int, unit: str = "items"):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"enumeration needs {required} {unit}, budget is {budget}"
+            f"needs {required} {unit}, budget is {budget}"
         )
 
 

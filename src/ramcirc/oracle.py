@@ -28,15 +28,10 @@ class generates G and the row maximum is the class maximum.  Cosines
 are spectra's cos2, and the pairs of an extreme set are found by their
 phases d * x_last mod L, folded, on spectra.pair_blocks.
 
-enumerate_class is the fallback for the classes where generation can
-bind and no violating row's extreme set generates (none of those that
-hat_l_exhaustive climbs, or abelian_oracle for the odd groups of order
-at most 30001).  It combines the removed pairs in
-lexicographic order and keeps each set that spectra.CayleySet accepts,
-and the fallback decides each by spectra.is_ramanujan or
-spectra.spectrum: the package has one generation rule and one Ramanujan
-decision.  Class sizes grow as C(h, r), so it is gated by a budget in
-sets.
+A class where generation binds (3r >= |G|) and the first violating
+row's extreme set does not generate is one the rows cannot settle;
+class_clean and class_max refuse it with a ValidationError naming the
+group and l.
 
 Everything here is deliberately independent of the closed-form route:
 no window formulas, no candidate-set reasoning, no factorisation, just
@@ -52,9 +47,7 @@ without an mpmath pass.
 
 from __future__ import annotations
 
-import itertools
 import math
-from math import comb
 from typing import NamedTuple
 
 from . import precision
@@ -75,11 +68,8 @@ from .spectra import (
     cos2,
     decide_rows,
     group_orders,
-    is_ramanujan,
     pair_blocks,
-    pair_characters,
     ramanujan_bound,
-    spectrum,
     window_complement,
 )
 
@@ -178,18 +168,6 @@ def row_table(orders: tuple[int, ...], r_max: int, budget: int) -> RowTable:
     return RowTable(orders, divisors, S, h if keep == h else w, cos2(L, S))
 
 
-def class_size(m: int, l: int) -> int:
-    """Raw number of negation-closed size-l complements containing the
-    identity, in a group of order m.
-
-    This is the combinatorial count C((m-1)/2, (l-1)/2); complements
-    whose kept set fails to generate are included here (enumerate_class
-    charges the budget for them) but not enumerated.
-    """
-    check_covalency(m, l)
-    return comb((m - 1) // 2, (l - 1) // 2)
-
-
 def _extreme_set(group, table: RowTable, i: int, r: int, from_top: bool):
     """The CayleySet removing row i's extreme pairs; None if it does not generate G."""
     try:
@@ -203,14 +181,14 @@ def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bo
 
     group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet,
     and table a row_table of the group serving (l - 1)/2 removed pairs,
-    built here when not given.  Every row extreme within
-    precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1), or past it, goes
-    through spectra.decide_rows on the row's two sides.  A violating row
-    ends the class when its extreme set generates G, as every set does
-    for 3r < |G|.  Where 3r >= |G| only one extreme set per character
-    order is tried, the one of the row's own character; when none of the
-    violating rows' sets generates, is_ramanujan decides each set of
-    enumerate_class.  An empty class counts as clean.
+    built here when not given; the budget gates its entries.  Every row
+    extreme within precision.ESCALATION_MARGIN of 2*sqrt(|G| - l - 1), or
+    past it, goes through spectra.decide_rows on the row's two sides.  A
+    violating row ends the class when its extreme set generates G, as
+    every set does for 3r < |G|.  Where 3r >= |G| only one extreme set
+    per character order is tried, the one of the row's own character,
+    and when the first violating row's set does not generate, the class
+    is refused with a ValidationError.
     """
     orders = group_orders(group)
     n, r, L = math.prod(orders), (l - 1) // 2, orders[-1]
@@ -219,16 +197,15 @@ def class_clean(group, l: int, budget: int, table: RowTable | None = None) -> bo
         table = row_table(orders, r, budget)
     rb = 2.0 * math.sqrt(n - l - 1)
     absmax, from_top = table.extremes(r)
-    unsettled = False
     for i in np.flatnonzero(absmax > rb - precision.ESCALATION_MARGIN).tolist():
         if decide_rows(n, l, L, float(absmax[i]),
                        lambda: [table.row_sides(i, r)]).is_ramanujan:
             continue
         if 3 * r < n or _extreme_set(group, table, i, r, from_top[i]) is not None:
             return False
-        unsettled = True
-    return not unsettled or all(is_ramanujan(s).is_ramanujan
-                                for s in enumerate_class(group, l, budget))
+        raise ValidationError(f"the rows cannot settle covalency {l} on the group {orders}: "
+                              "the first violating row's extreme set does not generate")
+    return True
 
 
 def climb(group, l_max: int, budget: int, clean) -> int:
@@ -257,27 +234,6 @@ def _cayley(group, reps: np.ndarray) -> CayleySet:
         group, reps[:, 0].tolist() if isinstance(group, int) else reps)
 
 
-def enumerate_class(group, l: int, budget: int = DEFAULT_BUDGET):
-    """Yield every connected complement of covalency l, smallest pairs first.
-
-    group is Z_m's modulus or an AbelianGroup, as in spectra.CayleySet.
-    The r = (l - 1)/2 removed pairs are taken from
-    spectra.pair_characters in lexicographic order, and each set whose
-    kept elements the CayleySet constructor finds generating is yielded.
-    The budget is charged for all C(h, r) sets of the class.
-    """
-    orders = group_orders(group)
-    size = class_size(math.prod(orders), l)
-    check_budget(size, "subsets", budget)
-    R = pair_characters(orders)
-    for idx in itertools.combinations(range(len(R)), (l - 1) // 2):
-        try:
-            s = _cayley(group, R[list(idx)])
-        except ValidationError:
-            continue
-        yield s
-
-
 class ClassMax(NamedTuple):
     """Largest |mu_j| over a whole complement class, with its witness."""
 
@@ -296,24 +252,19 @@ def class_max(m: int, l: int, budget: int = DEFAULT_BUDGET) -> ClassMax:
     them, ties in index order; a row shares its extreme with every
     character of its order, and on Z_m the row of d is the first of the
     order m/d, so that is the first such row of the full pair table.
-    Where that set does not generate Z_m, which needs 3r >= m, the
-    witness is instead the first set of enumerate_class with the largest
-    spectrum(s).mu_max.
+    Where that set does not generate Z_m, which needs 3r >= m, the class
+    is refused with a ValidationError.
     """
     check_covalency(m, l)
     r = (l - 1) // 2
     table = row_table((m,), r, budget)
     absmax, from_top = table.extremes(r)
     i = int(np.argmax(absmax))
-    best = float(absmax[i])
     witness = _extreme_set(m, table, i, r, from_top[i])
     if witness is None:
-        witness = max(enumerate_class(m, l, budget), default=None,
-                      key=lambda s: spectrum(s).mu_max)
-        if witness is None:
-            raise InternalInvariantError(f"class m={m}, l={l} has no valid sets")
-        best = spectrum(witness).mu_max
-    return ClassMax(m, l, best, ramanujan_bound(m, l), witness)
+        raise ValidationError(f"the rows cannot settle covalency {l} on the group {(m,)}: "
+                              "the argmax row's extreme set does not generate")
+    return ClassMax(m, l, float(absmax[i]), ramanujan_bound(m, l), witness)
 
 
 def class_all_ramanujan(m: int, l: int, budget: int = DEFAULT_BUDGET,

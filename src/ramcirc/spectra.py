@@ -27,6 +27,7 @@ is_ramanujan and ramcirc.oracle's rows alike.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import precision
@@ -181,14 +182,18 @@ def _rows(items: list, orders: tuple[int, ...]) -> np.ndarray:
 
 def _reduced(group, items: list, sign: int = 1) -> list:
     """sign * x in canonical form for each item of group: the residues of
-    an odd modulus, or tuples with one entry per invariant factor."""
-    if isinstance(group, int):
-        check_modulus(group)
-        return [sign * x % group for x in items]
-    orders = group.orders
-    if any(len(x) != len(orders) for x in items):
-        raise ValidationError(f"elements of the group {orders} need {len(orders)} entries")
-    return [tuple(sign * int(c) % n for c, n in zip(x, orders)) for x in items]
+    an odd modulus, or tuples with one entry per invariant factor, each
+    read by operator.index, so ints and numpy integers alone pass."""
+    orders = group_orders(group)
+    try:
+        if isinstance(group, int):
+            check_modulus(group)
+            return [sign * index(x) % group for x in items]
+        if all(len(x) == len(orders) for x in items):
+            return [tuple(sign * index(c) % n for c, n in zip(x, orders)) for x in items]
+    except TypeError:
+        pass
+    raise ValidationError(f"elements of the group {orders} need {len(orders)} integer entries")
 
 
 class _CayleySetFields(NamedTuple):

@@ -6,8 +6,7 @@ class_clean and class_max over it, with the scanned absmax standing in
 for spectrum.  It combines the removed pairs in lexicographic order, in
 numpy chunks with shared prefixes: a set's character sums are its
 prefix's sums plus one table row.  That keeps it fast on the 10^7-set
-classes the tests compare against, where oracle.enumerate_class builds
-and checks one CayleySet a set.
+classes the tests compare against.
 
 orbit_representatives finds the first character of each unit orbit of
 the character group by brute force over the units; it is the reference
@@ -55,7 +54,7 @@ def scan_class(orders: tuple[int, ...], l: int, budget: int = DEFAULT_BUDGET):
     h, r = (math.prod(orders) - 1) // 2, (l - 1) // 2
     size = comb(h, r)
     if size > budget:
-        raise BudgetExceededError(size, budget)
+        raise BudgetExceededError(size, budget, "subsets")
     R = pair_characters(orders)
     phases = phase_table(orders, R, R)
     P = 2.0 * np.cos((2.0 * math.pi / orders[-1]) * phases)

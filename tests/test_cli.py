@@ -473,7 +473,7 @@ class TestAbelian:
                            "--budget", "10")
         assert code == 2
         ## one sorted row per character order: 1 row of h = 60 pairs
-        assert "error: enumeration needs 60 table entries, budget is 10" in err
+        assert "error: needs 60 table entries, budget is 10" in err
         assert "Traceback" not in err
 
     def test_oracle_decides_z101_cubed(self, capsys):

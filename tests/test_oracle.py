@@ -13,13 +13,11 @@ from ramcirc import oracle, precision, spectra
 from ramcirc.abelian import AbelianGroup, abelian_oracle
 from ramcirc.bounds import trivial_bound
 from ramcirc.classify import classify
-from ramcirc.errors import BudgetExceededError, InternalInvariantError, ValidationError
+from ramcirc.errors import BudgetExceededError, ValidationError
 from ramcirc.numtheory import is_prime
 from ramcirc.oracle import (
     class_all_ramanujan,
     class_max,
-    class_size,
-    enumerate_class,
     hat_l_exhaustive,
     semiprime_crosscheck,
 )
@@ -40,34 +38,17 @@ from scan_reference import (
 
 
 class TestEnumeration:
-    def test_class_sizes(self):
-        assert class_size(35, 11) == math.comb(17, 5) == 6188
-        assert class_size(9, 5) == 6
-        assert class_size(15, 7) == math.comb(7, 3) == 35
-
-    def test_enumeration_count_matches(self):
-        assert sum(1 for _ in enumerate_class(35, 11)) == 6188
-        assert sum(1 for _ in enumerate_class(9, 5)) == 6
-
-    def test_generation_filter_drops_disconnected(self):
-        ## Z_9 at covalency 7 keeps a single pair; the pair {3, 6} spans
-        ## only the subgroup {0, 3, 6} and must be filtered out
-        sets = list(enumerate_class(9, 7))
-        assert class_size(9, 7) == 4
-        assert len(sets) == 3
-        bad = frozenset({0, 1, 2, 4, 5, 7, 8})
-        assert bad not in {s.complement for s in sets}
-
     def test_budget_enforced(self):
-        size = class_size(101, 31)
+        ## the tests' scan charges its budget for every set of the class
+        size = math.comb(50, 15)
         with pytest.raises(BudgetExceededError) as e:
-            list(enumerate_class(101, 31, budget=1000))
-        assert e.value.required == size
-        assert e.value.budget == 1000
+            next(scan_class((101,), 31, budget=1000))
+        assert (e.value.required, e.value.budget) == (size, 1000)
+        assert f"needs {size} subsets" in str(e.value)
 
     def test_rejects_even_covalency(self):
         with pytest.raises(ValidationError):
-            class_size(35, 10)
+            class_max(35, 10)
 
 
 class TestScanFilter:
@@ -323,42 +304,52 @@ class TestRowRoute:
 
     @pytest.fixture(scope="class")
     def decided(self):
-        """class_clean on every class of at most 2e5 sets, the classes it
-        handed to enumerate_class, in call order, and every decision made
-        on a row extreme or on an enumerated set."""
+        """class_clean on every class of at most 2e5 sets, each answer or
+        the ValidationError that refused the class, and every decision
+        made on a row extreme."""
         cases = [(g, l) for g in self.GROUPS for l in range(1, _order(g) - 1, 2)
                  if math.comb((_order(g) - 1) // 2, (l - 1) // 2) <= 2 * 10**5]
-        enumerated, decisions = [], []
+        got, decisions = [], []
 
         def recording(real):
             return lambda *args, **kwargs: decisions.append(
                 real(*args, **kwargs)) or decisions[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "enumerate_class", _recording(enumerated))
             patch.setattr(precision, "decide", recording(precision.decide))
-            got = [oracle.class_clean(g, l, 10**6) for g, l in cases]
-        return cases, got, enumerated, decisions
+            for g, l in cases:
+                try:
+                    got.append(oracle.class_clean(g, l, 10**6))
+                except ValidationError as e:
+                    got.append(e)
+        return cases, got, decisions
 
     def test_rows_decide_every_class_as_the_scan(self, decided):
-        cases, got, _, _ = decided
+        cases, got, _ = decided
         assert len(cases) == 297
-        assert got == [_scan_clean(g, l, 10**6) for g, l in cases]
+        settled = [(c, clean) for c, clean in zip(cases, got) if isinstance(clean, bool)]
+        assert len(settled) == 293
+        assert [clean for _, clean in settled] == [
+            _scan_clean(g, l, 10**6) for (g, l), _ in settled]
 
-    def test_enumeration_decides_four_clean_classes(self, decided):
-        ## only where generation binds and no violating row's extreme set
-        ## generates does class_clean enumerate; each such class is clean
-        cases, got, enumerated, _ = decided
-        assert enumerated == [((5, 5), 21), ((3, 3, 3), 19), ((3, 3, 3), 21),
-                              ((3, 3, 3), 23)]
-        clean = {(group_orders(g), l): c for (g, l), c in zip(cases, got)}
-        assert [clean[c] for c in enumerated] == [True] * 4
+    def test_rows_refuse_four_clean_classes(self, decided):
+        ## only where generation binds and the first violating row's
+        ## extreme set does not generate do the rows leave a class
+        ## unsettled; class_clean refuses it, naming the group and l, and
+        ## the scan finds each clean
+        cases, got, _ = decided
+        refused = [(g, l, e) for (g, l), e in zip(cases, got) if isinstance(e, ValidationError)]
+        assert [(group_orders(g), l) for g, l, _ in refused] == [
+            ((5, 5), 21), ((3, 3, 3), 19), ((3, 3, 3), 21), ((3, 3, 3), 23)]
+        for g, l, e in refused:
+            assert f"covalency {l} on the group {group_orders(g)}" in str(e)
+            assert _scan_clean(g, l, 10**6)
 
     def test_every_tie_is_proved_without_mpmath(self, decided):
         ## the escalated decisions of these classes are exact ties, such as
         ## mu = rb = 2 at l = |G| - 2; each is proved from its conjugates,
         ## so none takes an mpmath pass, let alone climbs to MAX_DIGITS
-        decisions = decided[3]
+        decisions = decided[2]
         escalated = [d for d in decisions if d.escalated]
         assert escalated and all(d.tie_proved for d in escalated)
         assert all(d.digits is None for d in decisions)
@@ -370,17 +361,12 @@ class TestRowRoute:
         for g, l in cases:
             with pytest.raises(ValidationError):
                 oracle.class_clean(g, l, 10**6)
-            with pytest.raises(ValidationError):
-                next(enumerate_class(g, l))
 
-    def test_no_scan_to_2001(self, monkeypatch):
+    def test_no_scan_to_2001(self):
         ## generation cannot bind in the l0 + 2 and l0 + 4 classes from
         ## m = 15 on, so the rows decide them alone; below 15 every class
-        ## climbed passes on the rows, an upper bound over the class
-        def enumerate_class(*args):
-            raise AssertionError("enumerated a class")
-
-        monkeypatch.setattr(oracle, "enumerate_class", enumerate_class)
+        ## climbed passes on the rows, an upper bound over the class, so
+        ## no class is refused
         for m in range(3, 2002, 2):
             assert hat_l_exhaustive(m) == classify(m).hat_l, m
 
@@ -412,29 +398,31 @@ class TestRowsMatchTheScan:
                 assert _unit_orbit_match_loop(got.witness, want.witness), (m, l)
                 assert oracle.class_clean(m, l, 10**8) == (want.mu <= want.rb)
 
-    def test_class_max_where_generation_can_bind(self, monkeypatch):
+    def test_class_max_where_generation_can_bind(self):
         ## cyclic classes with 3r >= m of at most 3000 sets; in 25 of them
         ## the argmax row's extreme set does not generate, and class_max
-        ## takes the first maximum of spectrum over enumerate_class
-        enumerated = []
-        monkeypatch.setattr(oracle, "enumerate_class", _recording(enumerated))
+        ## refuses the class, naming m and l: on Z_9 at covalency 7 that
+        ## set removes the pairs 1, 2 and 4 and keeps {3, 6}, a subgroup
         cases = [(m, l) for m in range(3, 46, 2) for l in range(1, m - 1, 2)
                  if 3 * ((l - 1) // 2) >= m and math.comb((m - 1) // 2, (l - 1) // 2) <= 3000]
         assert len(cases) == 53
+        refused = []
         for m, l in cases:
-            got, want = class_max(m, l), _scan_max(m, l, 10**8)
+            try:
+                got = class_max(m, l)
+            except ValidationError as e:
+                assert f"covalency {l} on the group {(m,)}" in str(e)
+                refused.append((m, l))
+                continue
+            want = _scan_max(m, l, 10**8)
             assert got.mu == pytest.approx(want.mu, abs=1e-12), (m, l)
             assert got.witness.covalency == l
             assert spectrum(got.witness).mu_max == got.mu, (m, l)
-        assert len(enumerated) == 25
-        assert {(m, l) for (m,), l in enumerated} <= set(cases)
-
-    def test_class_max_raises_on_an_empty_class(self, monkeypatch):
-        ## Z_9 at covalency 7 has a non-generating argmax set; with nothing
-        ## to enumerate the class has no maximum
-        monkeypatch.setattr(oracle, "enumerate_class", lambda *args: iter(()))
-        with pytest.raises(InternalInvariantError):
-            class_max(9, 7)
+        assert refused == [
+            (9, 7), (15, 11), (15, 13), (21, 15), (21, 17), (21, 19), (25, 21),
+            (25, 23), (27, 19), (27, 21), (27, 23), (27, 25), (33, 25), (33, 27),
+            (33, 29), (33, 31), (35, 29), (35, 31), (35, 33), (39, 33), (39, 35),
+            (39, 37), (45, 39), (45, 41), (45, 43)]
 
     def test_every_class_climbed_on_the_groups_to_49(self):
         groups = [(m,) for m in range(3, 50, 2)] + [
@@ -498,17 +486,6 @@ def _family_split(limit):
                               rep.p: "q_multiples"}[table.divisors[i]], m
         split[rep.family] += 1
     return split
-
-
-def _recording(calls):
-    """oracle.enumerate_class, noting (invariant factors, l) of each call."""
-    real = oracle.enumerate_class
-
-    def enumerate_class(group, l, budget):
-        calls.append((group_orders(group), l))
-        return real(group, l, budget)
-
-    return enumerate_class
 
 
 class TestClassMax:
@@ -654,7 +631,12 @@ class TestCrosscheck:
 
 class TestWitnessSpectra:
     def test_every_enumerated_set_obeys_power_sum(self):
-        for s in enumerate_class(15, 7):
+        ## the 35 sets of Z_15 at covalency 7, built as the oracle builds
+        ## its witnesses
+        R = pair_characters((15,))
+        sets = [oracle._cayley(15, R[row]) for idx, _ in scan_class((15,), 7) for row in idx]
+        assert len(sets) == 35
+        for s in sets:
             sp = spectrum(s)
             assert math.fsum(v * v for v in sp.values) == pytest.approx(
                 15 * s.valency, rel=1e-12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from ramcirc.abelian import AbelianGroup
 from ramcirc.errors import ValidationError
 from ramcirc.spectra import (
     BLOCK,
@@ -95,6 +96,22 @@ class TestCayleySet:
                 with pytest.raises(ValidationError):
                     build()
         assert type(s._replace(complement=[0, 2, 13]).complement) is frozenset
+
+    def test_elements_must_be_integers(self):
+        ## every coordinate is an integer: a float is refused, not
+        ## truncated, as are a tuple on Z_m and an int on a group of rank 2
+        g = AbelianGroup((3, 3))
+        for build in (lambda: CayleySet.from_pairs(g, [(0, 1.5)]),
+                      lambda: CayleySet.from_pairs(g, [1]),
+                      lambda: CayleySet.from_residues(9, [(1,)]),
+                      lambda: eigenvalue(window_complement(9, 3), (1,))):
+            with pytest.raises(ValidationError, match="integer entries"):
+                build()
+        ## numpy integers are integers, and come back as ints
+        s = CayleySet.from_pairs(g, [np.array([0, 1])])
+        assert s == CayleySet.from_pairs(g, [(0, 1)])
+        assert all(type(c) is int for x in s.complement for c in x)
+        assert CayleySet.from_residues(9, np.array([0, 10, -1])).complement == {0, 1, 8}
 
 
 class TestSpectrum:
